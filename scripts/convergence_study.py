@@ -29,10 +29,7 @@ def main() -> int:
                     help="horizons are 2^6 .. 2^kmax")
     args = ap.parse_args()
 
-    mu = SparseMeasure(
-        [(int(s), float(m)) for s, m in
-         (item.split(":") for item in args.mu.split(","))]
-    )
+    mu = SparseMeasure.parse(args.mu)
     ns = [2**k for k in range(6, args.kmax + 1)]
 
     print("alpha,n,probability,prediction,ratio")

@@ -40,10 +40,7 @@ def main() -> int:
     args = ap.parse_args()
 
     idx = HypergroupIndex(args.alpha)
-    mu = SparseMeasure(
-        [(int(s), float(m)) for s, m in
-         (item.split(":") for item in args.mu.split(","))]
-    )
+    mu = SparseMeasure.parse(args.mu)
     K = local_time_scale_constant(idx, mu, args.y)
     dist = MittagLefflerDist(-args.alpha)
 

@@ -33,10 +33,6 @@ from .walk_sim import WalkConfig, local_time_counts
 
 import numpy as np
 
-# hand-typed masses may carry decimal round-off; within this tolerance
-# they are accepted and renormalized to an exact probability vector
-_MU_SUM_TOL = 1e-9
-
 _THREADS_ENV = "GEGWALK_THREADS"
 
 
@@ -73,49 +69,11 @@ def _parse_index(alpha: float) -> HypergroupIndex:
 
 
 def _parse_mu(spec: str) -> SparseMeasure:
-    """Step measure from `state:mass,...`, or from a CSV/JSON file path.
-
-    Masses must sum to 1 within 1e-9 and are renormalized exactly.
-    """
+    """SparseMeasure.parse, with a bad spec reported as a usage error."""
     try:
-        if os.path.isfile(spec):
-            text = open(spec).read()
-            if text.lstrip().startswith("{"):
-                entries = json.loads(text)["entries"]
-                pairs = [(int(s), float(m)) for s, m in entries.items()]
-            else:
-                rows = [ln for ln in text.splitlines() if ln.strip()]
-                if not rows or rows[0].strip() != "state,mass":
-                    raise UsageError(
-                        f"measure file {spec!r}: expected a 'state,mass' header"
-                    )
-                pairs = []
-                for ln in rows[1:]:
-                    s, _, m = ln.partition(",")
-                    pairs.append((int(s), float(m)))
-        else:
-            pairs = []
-            for item in spec.split(","):
-                state, sep, mass = item.partition(":")
-                if not sep:
-                    raise UsageError(
-                        f"bad step-measure entry {item!r}: want state:mass"
-                    )
-                pairs.append((int(state), float(mass)))
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+        return SparseMeasure.parse(spec)
+    except (ValueError, KeyError) as e:
         raise UsageError(f"cannot parse step measure {spec!r}: {e}")
-
-    if any(m < 0.0 for _, m in pairs):
-        raise UsageError("step-measure masses must be nonnegative")
-    total = math.fsum(m for _, m in pairs)
-    if abs(total - 1.0) > _MU_SUM_TOL:
-        raise UsageError(
-            f"step-measure masses sum to {total!r}; must be 1 within 1e-9"
-        )
-    try:
-        return SparseMeasure([(s, m / total) for s, m in pairs])
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _parse_n_list(spec: str) -> list[int]:
@@ -320,7 +278,7 @@ def _add_common(sp, *, fmt_default="csv"):
 
 def _add_model(sp):
     sp.add_argument("--alpha", type=float, required=True,
-                    help="polynomial family index (> -1)")
+                    help="polynomial family index (>= -1/2)")
     sp.add_argument("--mu", required=True, metavar="SPEC",
                     help="step measure: state:mass,... or a CSV/JSON file")
 

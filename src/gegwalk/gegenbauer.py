@@ -54,28 +54,24 @@ class HypergroupIndex:
 
 
 def eval_poly(idx: HypergroupIndex, n: int, x: float) -> float:
-    """P_n^(alpha)(x) for |x| <= 1 by the three-term upward recurrence.
+    """P_n^(alpha)(x) for |x| <= 1: one point of eval_poly_table.
 
-    Upward is stable here: all values stay bounded by 1 in modulus.
+    The upward recurrence is stable here: all values stay bounded by 1
+    in modulus.
     """
     if n < 0:
         raise ValueError("eval_poly: n must be >= 0")
     if not -1.0 <= x <= 1.0:
         raise ValueError("eval_poly: x must lie in [-1, 1]")
-    a = idx.alpha
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 2 * a + 1) * x * cur - k * prev) / (k + 2 * a + 1)
-    return cur
+    return float(eval_poly_table(idx, n, np.array([x]))[n, 0])
 
 
 def eval_poly_table(idx: HypergroupIndex, nmax: int, xs: np.ndarray) -> np.ndarray:
     """All degrees 0..nmax at once on an array of points.
 
     Returns an array of shape (nmax+1, len(xs)); row n is P_n at xs.
-    Same recurrence as eval_poly, vectorized over the points.
+    This is the value-space copy of the three-term recurrence; the
+    coefficient-space copy is _poly_apply.
     """
     if nmax < 0:
         raise ValueError("eval_poly_table: nmax must be >= 0")
@@ -168,37 +164,56 @@ class LinearizationRow:
         return self.coeffs.get(k, 0.0)
 
 
-def _apply_jacobi(a: float, v: np.ndarray) -> np.ndarray:
-    """Multiplication-by-x operator in the P_n coordinate system.
+def _poly_apply(a: float, weights: list[tuple[int, float]], v: np.ndarray) -> np.ndarray:
+    """Sum of w_s P_s(J) v over the (s, w_s) pairs, for a vector v of
+    coefficients in the P_n basis.
 
-    Column j feeds j/(2j+2a+1) upward into j-1 and (j+2a+1)/(2j+2a+1)
-    into j+1; column 0 feeds 1 into index 1 (the a = -1/2 limit of the
-    same ratio).  The result is one entry longer than the input.
+    J is multiplication by x in that basis: column j feeds j/(2j+2a+1)
+    into j-1 and (j+2a+1)/(2j+2a+1) into j+1; column 0 feeds 1 into
+    index 1 (the a = -1/2 limit of the same ratio).  The three-term
+    recurrence in s then builds P_s(J) v, so the cost is
+    O(smax * len(v)) however many pairs there are.  The result has
+    length len(v) + smax.
     """
-    j = np.arange(1, v.size)
+    smax = max((s for s, _ in weights), default=0)
+    j = np.arange(1, v.size + smax)
     denom = 2 * j + 2 * a + 1
-    out = np.zeros(v.size + 1)
-    out[:-2] += v[1:] * (j / denom)  # down-moves from columns 1..
-    out[2:] += v[1:] * ((j + 2 * a + 1) / denom)  # up-moves from columns 1..
-    out[1] += v[0]  # column 0 always moves up
+    down, up = j / denom, (j + 2 * a + 1) / denom
+
+    def jacobi(u: np.ndarray) -> np.ndarray:  # J u, one entry longer than u
+        out = np.zeros(u.size + 1)
+        out[:-2] += u[1:] * down[: u.size - 1]
+        out[2:] += u[1:] * up[: u.size - 1]
+        out[1] += u[0]
+        return out
+
+    out = np.zeros(v.size + smax)
+    lookup = dict(weights)
+    if 0 in lookup:
+        out[: v.size] += lookup[0] * v
+    if smax == 0:
+        return out
+    v_prev = v
+    v_cur = jacobi(v)
+    if 1 in lookup:
+        out[: v_cur.size] += lookup[1] * v_cur
+    for s in range(1, smax):
+        v_next = (
+            (2 * s + 2 * a + 1) * jacobi(v_cur) - s * np.concatenate((v_prev, np.zeros(2)))
+        ) / (s + 2 * a + 1)
+        v_prev, v_cur = v_cur, v_next
+        w = lookup.get(s + 1)
+        if w:
+            out[: v_cur.size] += w * v_cur
     return out
 
 
 @lru_cache(maxsize=4096)
 def _linearization_cached(alpha: float, m: int, n: int) -> LinearizationRow:
     a = alpha
-    v_prev = np.zeros(n + 1)
-    v_prev[n] = 1.0  # P_0 P_n = P_n
-    if m == 0:
-        return LinearizationRow(m=0, n=n, coeffs=MappingProxyType({n: 1.0}))
-    v_cur = _apply_jacobi(a, v_prev)
-    v_prev = np.concatenate((v_prev, [0.0]))
-    for j in range(1, m):
-        v_next = ((2 * j + 2 * a + 1) * _apply_jacobi(a, v_cur) - j * np.concatenate((v_prev, [0.0]))) / (
-            j + 2 * a + 1
-        )
-        v_prev, v_cur = np.concatenate((v_cur, [0.0])), v_next
-    raw = v_cur
+    e_n = np.zeros(n + 1)
+    e_n[n] = 1.0
+    raw = _poly_apply(a, [(m, 1.0)], e_n)
     support = range(n - m, n + m + 1, 2)
     neg = raw.min()
     if neg < -1e-14:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 import numpy as np
@@ -26,9 +27,8 @@ import numpy as np
 from gegwalk.errors import ConsistencyError, QuadratureError, StateCapError
 from gegwalk.gegenbauer import (
     HypergroupIndex,
-    _apply_jacobi,
     _jacobi_nodes,
-    eval_poly,
+    _poly_apply,
     eval_poly_table,
     linearization,
     weight,
@@ -53,9 +53,9 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 1_000_000
 
-# Internal storage switches to a dense buffer when the support fills more
-# than a quarter of [0, max_state]; behavior is identical either way.
-_DENSE_DENSITY = 0.25
+# hand-typed masses may carry decimal round-off; within this tolerance
+# SparseMeasure.parse accepts them and renormalizes to an exact probability vector
+_PARSE_SUM_TOL = 1e-9
 
 
 class SparseMeasure:
@@ -67,7 +67,7 @@ class SparseMeasure:
     negative) and is flagged via ``is_signed``.  Instances are immutable.
     """
 
-    __slots__ = ("_dense", "_map", "_signed")
+    __slots__ = ("_map", "_signed")
 
     def __init__(
         self,
@@ -98,16 +98,7 @@ class SparseMeasure:
                     f"by more than {total_tol:g}"
                 )
         self._signed = bool(signed)
-        if items and len(items) > _DENSE_DENSITY * (max(items) + 1):
-            dense = np.zeros(max(items) + 1)
-            for s, m in items.items():
-                dense[s] = m
-            dense.setflags(write=False)
-            self._dense = dense
-            self._map = None
-        else:
-            self._dense = None
-            self._map = items
+        self._map = items
 
     @classmethod
     def point(cls, state: int) -> "SparseMeasure":
@@ -127,8 +118,6 @@ class SparseMeasure:
 
     @property
     def support(self) -> tuple[int, ...]:
-        if self._dense is not None:
-            return tuple(int(i) for i in np.flatnonzero(self._dense))
         return tuple(sorted(self._map))
 
     @property
@@ -138,27 +127,19 @@ class SparseMeasure:
 
     @property
     def total(self) -> float:
-        if self._dense is not None:
-            return math.fsum(self._dense[self._dense != 0.0])
         return math.fsum(self._map.values())
 
     def mass(self, state: int) -> float:
         if state < 0:
             return 0.0
-        if self._dense is not None:
-            return float(self._dense[state]) if state < self._dense.size else 0.0
         return self._map.get(state, 0.0)
 
     __getitem__ = mass
 
     def items(self):
         """(state, mass) pairs in increasing state order."""
-        if self._dense is not None:
-            for i in np.flatnonzero(self._dense):
-                yield int(i), float(self._dense[i])
-        else:
-            for s in sorted(self._map):
-                yield s, self._map[s]
+        for s in sorted(self._map):
+            yield s, self._map[s]
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.items())
@@ -225,58 +206,62 @@ class SparseMeasure:
             signed=signed,
             **kwargs,
         )
-        return mu, doc["alpha"]
+        return mu, doc.get("alpha")
+
+    @classmethod
+    def parse(cls, spec: str) -> "SparseMeasure":
+        """Step measure from ``state:mass,...`` or from a CSV/JSON file path.
+
+        Hand-typed masses may carry decimal round-off: they must sum to 1
+        within 1e-9 and are renormalized by their exact sum.
+        """
+        if os.path.isfile(spec):
+            with open(spec) as fh:
+                text = fh.read()
+            if text.lstrip().startswith("{"):
+                read, _ = cls.from_json(text, total_tol=_PARSE_SUM_TOL)
+            else:
+                read = cls.from_csv(text, total_tol=_PARSE_SUM_TOL)
+            pairs = list(read.items())
+        else:
+            pairs = []
+            for item in spec.split(","):
+                state, sep, mass = item.partition(":")
+                if not sep:
+                    raise ValueError(f"bad step-measure entry {item!r}: want state:mass")
+                pairs.append((int(state), float(mass)))
+        if any(m < 0.0 for _, m in pairs):
+            raise ValueError("step-measure masses must be nonnegative")
+        total = math.fsum(m for _, m in pairs)
+        if abs(total - 1.0) > _PARSE_SUM_TOL:
+            raise ValueError(f"step-measure masses sum to {total!r}; must be 1 within 1e-9")
+        return cls([(s, m / total) for s, m in pairs])
 
 
 @dataclass(frozen=True)
 class GegenbauerKernel:
-    """Transition kernel p(x, .) = delta_x * mu of the walk with step mu.
-
-    ``aperiodic`` records whether the support of mu leaves the even
-    sublattice 2N.  Note the edge this convention leaves open: a step
-    measure supported only on odd states (the unit step, say) passes this
-    flag yet alternates parity deterministically, so its n-step laws
-    vanish on alternating parity classes; the parity-refined asymptotics
-    handle that case separately.
-    """
+    """Transition kernel p(x, .) = delta_x * mu of the walk with step mu."""
 
     idx: HypergroupIndex
     step_measure: SparseMeasure
-    aperiodic: bool = field(init=False)
 
     def __post_init__(self):
         if self.step_measure.is_signed:
             raise ValueError("GegenbauerKernel: step measure must be a probability measure")
-        sup = self.step_measure.support
-        object.__setattr__(self, "aperiodic", any(s % 2 == 1 for s in sup))
 
+    @property
+    def parity(self) -> Literal["mixed", "odd", "even"]:
+        """Parity classes the support of mu meets.
 
-def _step_once(a: float, mu_items: list[tuple[int, float]], v: np.ndarray, smax: int) -> np.ndarray:
-    """One transition: dense law v -> v * mu, output len(v) + smax.
-
-    Accumulates mu(s) * P_s(J) v along the three-term recurrence in s, so
-    the cost is O(smax * len(v)) regardless of how many atoms mu has.
-    """
-    out = np.zeros(v.size + smax)
-    lookup = dict(mu_items)
-    if 0 in lookup:
-        out[: v.size] += lookup[0] * v
-    if smax == 0:
-        return out
-    v_prev = v
-    v_cur = _apply_jacobi(a, v)
-    if 1 in lookup:
-        out[: v_cur.size] += lookup[1] * v_cur
-    for s in range(1, smax):
-        v_next = (
-            (2 * s + 2 * a + 1) * _apply_jacobi(a, v_cur)
-            - s * np.concatenate((v_prev, np.zeros(2)))
-        ) / (s + 2 * a + 1)
-        v_prev, v_cur = v_cur, v_next
-        w = lookup.get(s + 1)
-        if w:
-            out[: v_cur.size] += w * v_cur
-    return out
+        ``"mixed"`` is the aperiodic case.  On ``"odd"`` (the unit step,
+        say) the walk alternates parity class at every step, so its n-step
+        laws vanish on alternating classes; on ``"even"`` it never leaves
+        the class it starts in.
+        """
+        classes = {s % 2 for s in self.step_measure.support}
+        if len(classes) == 2:
+            return "mixed"
+        return "odd" if 1 in classes else "even"
 
 
 def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
@@ -311,8 +296,7 @@ def convolve(idx: HypergroupIndex, mu: SparseMeasure, nu: SparseMeasure) -> Spar
 
     if order_key(mu) > order_key(nu):
         mu, nu = nu, mu
-    smax = mu.max_state
-    out = _step_once(idx.alpha, list(mu.items()), nu.as_array(), smax)
+    out = _poly_apply(idx.alpha, list(mu.items()), nu.as_array())
     return SparseMeasure.from_array(_clamp_roundoff(out), total_tol=1e-10)
 
 
@@ -336,14 +320,29 @@ def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
     return SparseMeasure(acc, total_tol=1e-10)
 
 
-def _check_cap(kernel: GegenbauerKernel, x: int, n: int, state_cap: int) -> int:
+def _n_step_laws(
+    kernel: GegenbauerKernel, x: int, horizons: list[int], state_cap: int
+) -> dict[int, SparseMeasure]:
+    """Laws at the ascending horizons from one sweep of the one-step operator."""
+    n = horizons[-1]
     needed = x + n * kernel.step_measure.max_state + 1
     if needed > state_cap:
         raise StateCapError(
             f"n_step(x={x}, n={n}) exceeds the state cap {state_cap}",
             required=needed,
         )
-    return needed
+    a = kernel.idx.alpha
+    mu_items = list(kernel.step_measure.items())
+    v = np.zeros(x + 1)
+    v[x] = 1.0
+    out: dict[int, SparseMeasure] = {}
+    step = 0
+    for target in horizons:
+        while step < target:
+            v = _clamp_roundoff(_poly_apply(a, mu_items, v))
+            step += 1
+        out[target] = SparseMeasure.from_array(v, total_tol=1e-10)
+    return out
 
 
 def n_step(
@@ -359,15 +358,7 @@ def n_step(
     """
     if x < 0 or n < 0:
         raise ValueError("n_step: x and n must be >= 0")
-    _check_cap(kernel, x, n, state_cap)
-    a = kernel.idx.alpha
-    mu_items = list(kernel.step_measure.items())
-    smax = kernel.step_measure.max_state
-    v = np.zeros(x + 1)
-    v[x] = 1.0
-    for _ in range(n):
-        v = _clamp_roundoff(_step_once(a, mu_items, v, smax))
-    return SparseMeasure.from_array(v, total_tol=1e-10)
+    return _n_step_laws(kernel, x, [n], state_cap)[n]
 
 
 def n_step_sequence(
@@ -387,20 +378,7 @@ def n_step_sequence(
         return {}
     if ns[0] < 0:
         raise ValueError("n_step_sequence: horizons must be >= 0")
-    _check_cap(kernel, x, ns[-1], state_cap)
-    a = kernel.idx.alpha
-    mu_items = list(kernel.step_measure.items())
-    smax = kernel.step_measure.max_state
-    v = np.zeros(x + 1)
-    v[x] = 1.0
-    out: dict[int, SparseMeasure] = {}
-    step = 0
-    for target in ns:
-        while step < target:
-            v = _clamp_roundoff(_step_once(a, mu_items, v, smax))
-            step += 1
-        out[target] = SparseMeasure.from_array(v, total_tol=1e-10)
-    return out
+    return _n_step_laws(kernel, x, ns, state_cap)
 
 
 def n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
@@ -421,8 +399,8 @@ def fourier(idx: HypergroupIndex, mu: SparseMeasure, theta: float) -> float:
     """Generalized Fourier transform sum_n mu(n) P_n(cos theta)."""
     if not 0.0 <= theta <= math.pi:
         raise ValueError("fourier: theta must lie in [0, pi]")
-    x = math.cos(theta)
-    return math.fsum(m * eval_poly(idx, s, x) for s, m in mu.items())
+    table = eval_poly_table(idx, mu.max_state, np.array([math.cos(theta)]))
+    return math.fsum(m * table[s, 0] for s, m in mu.items())
 
 
 def inverse_fourier(

@@ -353,7 +353,7 @@ class MittagLefflerDist:
     """Mittag-Leffler distribution of a given order in (0, 1].
 
     Nonnegative law with moments p!/Gamma(order*p+1).  order = 1 is the
-    point mass at 1, kept as an explicit variant so cdf, moments and
+    point mass at 1, kept as an explicit variant so cdf_grid, moments and
     sampling stay total; only ``density`` is undefined there.
     """
 
@@ -375,18 +375,6 @@ class MittagLefflerDist:
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return ml_sample(self.order, rng, size)
-
-    def cdf(self, x: float) -> float:
-        """Distribution function; adaptive quadrature of the density."""
-        if x <= 0.0:
-            return 0.0
-        if self.is_point_mass:
-            return 1.0 if x >= 1.0 else 0.0
-        from scipy.integrate import quad
-
-        hi = min(x, _density_cutoff(self.order))
-        val, _ = quad(lambda t: ml_density(self.order, t), 0.0, hi, epsabs=1e-9, limit=200)
-        return min(val, 1.0)
 
     def cdf_grid(self, xs: np.ndarray, npoints: int = 4097) -> np.ndarray:
         """CDF at many points via one dense cumulative integral.

@@ -168,18 +168,12 @@ def _validate_horizons(n_list: Sequence[int]) -> list[int]:
 
 
 def _require_aperiodic(kernel: GegenbauerKernel) -> None:
-    mu = kernel.step_measure
-    if not kernel.aperiodic:
+    parity = kernel.parity
+    if parity != "mixed":
         raise ValueError(
-            "step measure is supported on the even states, so the walk "
-            "never changes parity class; the untwinned asymptote does not "
-            "apply (use check_llt_periodic for the unit-step walk)"
-        )
-    if all(s % 2 == 1 for s in mu.support):
-        raise ValueError(
-            "step measure is supported on odd states only, so n-step laws "
-            "alternate between parity classes and the plain asymptote "
-            "fails; use check_llt_periodic for the unit-step walk"
+            f"step measure is supported on {parity} states only, so the "
+            "n-step laws vanish on a parity class and the plain asymptote "
+            "does not apply (use check_llt_periodic for the unit-step walk)"
         )
 
 

@@ -96,7 +96,7 @@ class TestSparseMeasure:
             SparseMeasure({0: 0.5, 1: 0.5 + 5e-11}, total_tol=1e-12)
 
     def test_dense_and_sparse_storage_agree(self):
-        # contiguous support triggers the dense path; a far-out atom stays sparse
+        # a contiguous support and one with a far-out atom
         dense = SparseMeasure({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
         sparse = SparseMeasure({0: 0.25, 100: 0.75})
         for m in (dense, sparse):
@@ -155,19 +155,28 @@ class TestSerialization:
         back, _ = SparseMeasure.from_json(m.to_json())
         assert back == m
 
+    def test_parse_renormalizes_inline_and_file_specs(self, tmp_path):
+        assert SparseMeasure.parse("1:0.5,2:0.5") == MIX
+        # a hand-written file: no alpha key, masses off by 1e-10
+        path = tmp_path / "mu.json"
+        path.write_text('{"entries": {"1": 0.25, "2": 0.7500000001}}')
+        mu = SparseMeasure.parse(str(path))
+        assert mu[1] == 0.25 / math.fsum([0.25, 0.7500000001])
+        with pytest.raises(ValueError, match="sum"):
+            SparseMeasure.parse("1:0.5,2:0.4")
+
     def test_walk_law_round_trip(self):
         law = n_step(GegenbauerKernel(QUARTER, MIX), 0, 6)
         assert SparseMeasure.from_csv(law.to_csv()) == law
 
 
 class TestKernelConstruction:
-    def test_aperiodic_flag(self):
-        assert GegenbauerKernel(QUARTER, MIX).aperiodic
-        assert GegenbauerKernel(QUARTER, SparseMeasure({1: 0.3, 3: 0.7})).aperiodic
-        assert not GegenbauerKernel(QUARTER, SparseMeasure({2: 1.0})).aperiodic
-        # support on the odd integers only: flag is still True even though the
-        # walk alternates between the two parity classes
-        assert GegenbauerKernel(QUARTER, DELTA1).aperiodic
+    def test_parity(self):
+        assert GegenbauerKernel(QUARTER, MIX).parity == "mixed"
+        assert GegenbauerKernel(QUARTER, SparseMeasure({1: 0.3, 3: 0.7})).parity == "odd"
+        assert GegenbauerKernel(QUARTER, SparseMeasure({2: 1.0})).parity == "even"
+        # the unit step is periodic: the walk alternates parity class
+        assert GegenbauerKernel(QUARTER, DELTA1).parity == "odd"
 
     def test_rejects_signed_step_law(self):
         bad = SparseMeasure({0: 1.5, 1: -0.5}, signed=True)
