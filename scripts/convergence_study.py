@@ -24,7 +24,8 @@ def main() -> int:
     ap.add_argument("--alphas", default="-0.5,-0.25,0,0.5",
                     help="comma-separated polynomial indices")
     ap.add_argument("--mu", default="1:0.5,2:0.5",
-                    help="step measure, state:mass pairs (must be aperiodic)")
+                    help="step measure: state:mass,... or a CSV/JSON file "
+                         "(must be aperiodic)")
     ap.add_argument("--kmax", type=int, default=13,
                     help="horizons are 2^6 .. 2^kmax")
     args = ap.parse_args()

@@ -29,7 +29,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--alpha", type=float, default=-0.5,
                     help="polynomial index, must be negative")
-    ap.add_argument("--mu", default="1:1", help="step measure, state:mass pairs")
+    ap.add_argument("--mu", default="1:1",
+                    help="step measure: state:mass,... or a CSV/JSON file")
     ap.add_argument("--y", type=int, default=0, help="target state")
     ap.add_argument("--horizons", default="1000,10000",
                     help="comma-separated step counts")

@@ -69,7 +69,7 @@ def main() -> int:
     ap.add_argument("--alpha", type=float, default=-0.25,
                     help="polynomial index, must be negative")
     ap.add_argument("--mu", default="1:0.5,2:0.5",
-                    help="step measure, state:mass pairs")
+                    help="step measure: state:mass,... or a CSV/JSON file")
     ap.add_argument("--kmax", type=int, default=14,
                     help="horizons are 2^6 .. 2^kmax")
     args = ap.parse_args()

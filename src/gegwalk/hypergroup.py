@@ -59,21 +59,18 @@ _PARSE_SUM_TOL = 1e-9
 
 
 class SparseMeasure:
-    """Finitely supported measure on the nonnegative integers.
+    """Finitely supported probability measure on the nonnegative integers.
 
-    The probability variant (default) requires nonnegative masses summing
-    to 1 within ``total_tol``.  A signed variant exists only to hold
-    quadrature output (inverse Fourier coefficients can go slightly
-    negative) and is flagged via ``is_signed``.  Instances are immutable.
+    Masses must be nonnegative and sum to 1 within ``total_tol``; pairs
+    naming the same state are added.  Instances are immutable.
     """
 
-    __slots__ = ("_map", "_signed")
+    __slots__ = ("_map",)
 
     def __init__(
         self,
         entries: Mapping[int, float] | Iterable[tuple[int, float]],
         *,
-        signed: bool = False,
         total_tol: float = 1e-12,
     ):
         items: dict[int, float] = {}
@@ -85,19 +82,18 @@ class SparseMeasure:
                 raise ValueError(f"SparseMeasure: non-integer state {s!r}")
             if state < 0:
                 raise ValueError(f"SparseMeasure: negative state {state}")
+            if mass < 0.0:
+                raise ValueError(
+                    f"SparseMeasure: negative mass {mass!r} at state {state}"
+                )
             if mass != 0.0:
                 items[state] = items.get(state, 0.0) + mass
-        if not signed:
-            neg = [s for s, m in items.items() if m < 0.0]
-            if neg:
-                raise ValueError(f"SparseMeasure: negative mass at states {sorted(neg)}")
-            total = math.fsum(items.values())
-            if abs(total - 1.0) > total_tol:
-                raise ValueError(
-                    f"SparseMeasure: total mass {total!r} differs from 1 "
-                    f"by more than {total_tol:g}"
-                )
-        self._signed = bool(signed)
+        total = math.fsum(items.values())
+        if abs(total - 1.0) > total_tol:
+            raise ValueError(
+                f"SparseMeasure: total mass {total!r} differs from 1 "
+                f"by more than {total_tol:g}"
+            )
         self._map = items
 
     @classmethod
@@ -111,10 +107,6 @@ class SparseMeasure:
         return cls({i: float(v) for i, v in enumerate(arr) if v != 0.0}, **kwargs)
 
     # -- read access -------------------------------------------------
-
-    @property
-    def is_signed(self) -> bool:
-        return self._signed
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -155,13 +147,12 @@ class SparseMeasure:
     def __eq__(self, other):
         if not isinstance(other, SparseMeasure):
             return NotImplemented
-        return self._signed == other._signed and self.as_dict() == other.as_dict()
+        return self.as_dict() == other.as_dict()
 
     __hash__ = None
 
     def __repr__(self):
-        kind = "signed" if self._signed else "prob"
-        return f"SparseMeasure({self.as_dict()!r}, {kind})"
+        return f"SparseMeasure({self.as_dict()!r})"
 
     # -- serialization -----------------------------------------------
 
@@ -176,7 +167,7 @@ class SparseMeasure:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, *, signed: bool = False, **kwargs) -> "SparseMeasure":
+    def from_csv(cls, text: str, **kwargs) -> "SparseMeasure":
         rows = [ln for ln in text.splitlines() if ln.strip()]
         if not rows or rows[0].strip() != "state,mass":
             raise ValueError("SparseMeasure.from_csv: expected 'state,mass' header")
@@ -184,7 +175,7 @@ class SparseMeasure:
         for ln in rows[1:]:
             s, _, m = ln.partition(",")
             pairs.append((int(s), float(m)))
-        return cls(pairs, signed=signed, **kwargs)
+        return cls(pairs, **kwargs)
 
     def to_json(self, alpha: float | None = None) -> str:
         """JSON object {alpha, entries:{state: mass}}; keys in state order."""
@@ -192,20 +183,13 @@ class SparseMeasure:
             "alpha": alpha,
             "entries": {str(s): m for s, m in self.items()},
         }
-        if self._signed:
-            doc["signed"] = True
         return json.dumps(doc)
 
     @classmethod
     def from_json(cls, text: str, **kwargs) -> tuple["SparseMeasure", float | None]:
         """Inverse of to_json; returns the measure and the stored alpha."""
         doc = json.loads(text)
-        signed = bool(doc.get("signed", False))
-        mu = cls(
-            {int(s): float(m) for s, m in doc["entries"].items()},
-            signed=signed,
-            **kwargs,
-        )
+        mu = cls({int(s): float(m) for s, m in doc["entries"].items()}, **kwargs)
         return mu, doc.get("alpha")
 
     @classmethod
@@ -230,8 +214,6 @@ class SparseMeasure:
                 if not sep:
                     raise ValueError(f"bad step-measure entry {item!r}: want state:mass")
                 pairs.append((int(state), float(mass)))
-        if any(m < 0.0 for _, m in pairs):
-            raise ValueError("step-measure masses must be nonnegative")
         total = math.fsum(m for _, m in pairs)
         if abs(total - 1.0) > _PARSE_SUM_TOL:
             raise ValueError(f"step-measure masses sum to {total!r}; must be 1 within 1e-9")
@@ -244,10 +226,6 @@ class GegenbauerKernel:
 
     idx: HypergroupIndex
     step_measure: SparseMeasure
-
-    def __post_init__(self):
-        if self.step_measure.is_signed:
-            raise ValueError("GegenbauerKernel: step measure must be a probability measure")
 
     @property
     def parity(self) -> Literal["mixed", "odd", "even"]:
@@ -288,8 +266,6 @@ def convolve(idx: HypergroupIndex, mu: SparseMeasure, nu: SparseMeasure) -> Spar
     support drives the Jacobi recurrence), so both argument orders run
     the identical computation and commutativity holds bit for bit.
     """
-    if mu.is_signed or nu.is_signed:
-        raise ValueError("convolve: inputs must be probability measures")
 
     def order_key(m: SparseMeasure):
         return (m.max_state, m.support, tuple(v for _, v in m.items()))
@@ -321,14 +297,16 @@ def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
 
 
 def _n_step_laws(
-    kernel: GegenbauerKernel, x: int, horizons: list[int], state_cap: int
+    kernel: GegenbauerKernel, x: int, horizons: list[int]
 ) -> dict[int, SparseMeasure]:
     """Laws at the ascending horizons from one sweep of the one-step operator."""
+    if x < 0 or horizons[0] < 0:
+        raise ValueError("n_step: x and n must be >= 0")
     n = horizons[-1]
     needed = x + n * kernel.step_measure.max_state + 1
-    if needed > state_cap:
+    if needed > DEFAULT_STATE_CAP:
         raise StateCapError(
-            f"n_step(x={x}, n={n}) exceeds the state cap {state_cap}",
+            f"n_step(x={x}, n={n}) exceeds the state cap {DEFAULT_STATE_CAP}",
             required=needed,
         )
     a = kernel.idx.alpha
@@ -345,28 +323,20 @@ def _n_step_laws(
     return out
 
 
-def n_step(
-    kernel: GegenbauerKernel, x: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP
-) -> SparseMeasure:
+def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """Exact law of the walk after n steps started at x.
 
     Applies the one-step operator n times to delta_x.  The support can
-    reach x + n * max(support of mu); if that exceeds ``state_cap`` the
-    computation refuses loudly rather than truncating, since truncation
-    would corrupt the far tail.  Round-off lets the total mass drift from
-    1 by O(n * eps); outputs are accepted within 1e-10.
+    reach x + n * max(support of mu); if that exceeds DEFAULT_STATE_CAP
+    the computation refuses loudly rather than truncating, since
+    truncation would corrupt the far tail.  Round-off lets the total mass
+    drift from 1 by O(n * eps); outputs are accepted within 1e-10.
     """
-    if x < 0 or n < 0:
-        raise ValueError("n_step: x and n must be >= 0")
-    return _n_step_laws(kernel, x, [n], state_cap)[n]
+    return _n_step_laws(kernel, x, [n])[n]
 
 
 def n_step_sequence(
-    kernel: GegenbauerKernel,
-    x: int,
-    checkpoints: Iterable[int],
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
+    kernel: GegenbauerKernel, x: int, checkpoints: Iterable[int]
 ) -> dict[int, SparseMeasure]:
     """Exact laws at several horizons from one iteration sweep.
 
@@ -376,9 +346,7 @@ def n_step_sequence(
     ns = sorted(set(int(n) for n in checkpoints))
     if not ns:
         return {}
-    if ns[0] < 0:
-        raise ValueError("n_step_sequence: horizons must be >= 0")
-    return _n_step_laws(kernel, x, ns, state_cap)
+    return _n_step_laws(kernel, x, ns)
 
 
 def n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
@@ -404,18 +372,14 @@ def fourier(idx: HypergroupIndex, mu: SparseMeasure, theta: float) -> float:
 
 
 def inverse_fourier(
-    idx: HypergroupIndex,
-    f: Callable[[float], float],
-    n: int,
-    *,
-    tol: float = 1e-9,
+    idx: HypergroupIndex, f: Callable[[float], float], n: int
 ) -> float:
     """Coefficient recovery: w_n * integral of f(theta) P_n(cos theta)
     sin^(2a+1)(theta) dtheta over [0, pi].
 
     Substituting x = cos(theta) turns the weight into (1-x^2)^alpha, so
     Gauss nodes for that weight apply directly; node counts are doubled
-    until two successive levels agree within ``tol``.
+    until two successive levels agree within 1e-9.
     """
     if n < 0:
         raise ValueError("inverse_fourier: n must be >= 0")
@@ -425,7 +389,7 @@ def inverse_fourier(
         pn = eval_poly_table(idx, n, nodes)[n]
         fv = np.array([f(math.acos(min(1.0, max(-1.0, t)))) for t in nodes])
         val = weight(idx, n) * float(np.sum(wts * fv * pn))
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= 1e-9:
             return val
         prev = val
     raise QuadratureError(

@@ -239,21 +239,16 @@ def check_llt_periodic(
     y: int,
     n_list: Sequence[int],
     *,
-    mu: SparseMeasure | None = None,
     ratio_window: tuple[float, float] = (0.95, 1.05),
 ) -> VerifyReport:
-    """Unit-step walk: parity-refined asymptote plus exact parity zeros.
+    """Unit-step walk (mu = delta_1): parity-refined asymptote plus exact
+    parity zeros.
 
     When n + x + y is even, p^(n)(x, y) is compared against
     w_y 2^(a+1) Gamma(a+1) n^-(a+1); when odd, the probability is
-    checked to be exactly zero.  Only the unit-step measure is allowed.
+    checked to be exactly zero.
     """
     ns = _validate_horizons(n_list)
-    if mu is not None and mu != SparseMeasure({1: 1.0}):
-        raise ValueError(
-            "parity-refined asymptotics hold for the unit-step measure "
-            "only; use check_llt_aperiodic for aperiodic steps"
-        )
     a = idx.alpha
     kernel = GegenbauerKernel(idx, SparseMeasure({1: 1.0}))
     laws = n_step_sequence(kernel, x, ns)

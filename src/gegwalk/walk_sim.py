@@ -49,8 +49,6 @@ class WalkConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.mu.is_signed:
-            raise ValueError("WalkConfig: step measure must be a probability")
         if self.start < 0:
             raise ValueError("WalkConfig: start state must be >= 0")
         if self.horizon < 0:
@@ -310,45 +308,24 @@ def _block_ranges(replicas: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + _BLOCK, replicas)) for r0 in range(0, replicas, _BLOCK)]
 
 
-def local_time_counts(
-    config: WalkConfig,
-    *,
-    threads: int = 1,
-    debug_full_histogram: bool = False,
-) -> LocalTimeSamples:
+def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSamples:
     """Visit counts at the target states for every replica.
 
     Replicas run in fixed blocks of 4096; blocks may run on a thread
     pool but write disjoint slices of the result, so the output is
-    bit-identical for any `threads`.  With `debug_full_histogram` the
-    target list is replaced by every reachable state and the per-replica
-    count total is asserted to be horizon + 1.
+    bit-identical for any `threads`.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    cfg = config
-    if debug_full_histogram:
-        top = config.start + config.horizon * config.mu.max_state
-        if top + 1 > 100_000:
-            raise ValueError("full-histogram mode is for small desk-scale runs")
-        cfg = WalkConfig(
-            config.idx,
-            config.mu,
-            config.start,
-            config.horizon,
-            config.replicas,
-            tuple(range(top + 1)),
-            config.seed,
-        )
-    R = cfg.replicas
-    K = len(cfg.target_states)
+    R = config.replicas
+    K = len(config.target_states)
     counts = np.empty((R, K), dtype=np.int64)
     terminal = np.empty(R, dtype=np.int64)
     blocks = _block_ranges(R)
 
     def run(span: tuple[int, int]) -> None:
         r0, r1 = span
-        c, term, _ = _run_block(cfg, r0, r1, cfg.horizon, ())
+        c, term, _ = _run_block(config, r0, r1, config.horizon, ())
         counts[r0:r1] = c
         terminal[r0:r1] = term
 
@@ -359,11 +336,9 @@ def local_time_counts(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, blocks))
 
-    out = LocalTimeSamples(cfg.target_states, counts, terminal, cfg.horizon, cfg.seed)
-    if debug_full_histogram:
-        totals = counts.sum(axis=1)
-        assert (totals == cfg.horizon + 1).all(), "visit counts must cover every step"
-    return out
+    return LocalTimeSamples(
+        config.target_states, counts, terminal, config.horizon, config.seed
+    )
 
 
 def mean_visits_curve(

@@ -100,6 +100,14 @@ class TestMuSpec:
         assert rc == 0
         assert out.splitlines()[1:] == ["0,0.5", "2,0.5"]
 
+    def test_file_cancelling_pair_is_exit_2(self, capsys, tmp_path):
+        # the same masses inline are refused; a file must be refused too
+        path = tmp_path / "mu.csv"
+        path.write_text("state,mass\n1,1.0\n3,0.5\n3,-0.5\n")
+        rc, _, err = run(capsys, "kernel", "--alpha", "-0.25", "--mu",
+                         str(path), "--x", "0", "--n", "1")
+        assert rc == 2 and "negative mass" in err
+
     def test_file_missing_header(self, capsys, tmp_path):
         path = tmp_path / "mu.csv"
         path.write_text("1,0.5\n2,0.5\n")

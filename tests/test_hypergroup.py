@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gegwalk.errors import StateCapError
 from gegwalk.gegenbauer import HypergroupIndex, eval_poly
 from gegwalk.hypergroup import (
+    DEFAULT_STATE_CAP,
     GegenbauerKernel,
     SparseMeasure,
     classify,
@@ -76,10 +77,10 @@ class TestSparseMeasure:
         with pytest.raises((ValueError, TypeError)):
             SparseMeasure({1.5: 1.0})
 
-    def test_signed_allows_negative_mass(self):
-        m = SparseMeasure({0: 1.5, 1: -0.5}, signed=True)
-        assert m[1] == -0.5
-        assert m.total == 1.0
+    def test_rejects_negative_pair_that_cancels(self):
+        # each pair is checked as it arrives, not the per-state sum
+        with pytest.raises(ValueError, match="negative mass"):
+            SparseMeasure([(0, 1.0), (3, 0.5), (3, -0.5)])
 
     def test_zero_mass_dropped(self):
         m = SparseMeasure({0: 1.0, 5: 0.0})
@@ -150,11 +151,6 @@ class TestSerialization:
         assert back == DELTA1
         assert alpha is None
 
-    def test_json_signed_round_trip(self):
-        m = SparseMeasure({0: 1.25, 2: -0.25}, signed=True)
-        back, _ = SparseMeasure.from_json(m.to_json())
-        assert back == m
-
     def test_parse_renormalizes_inline_and_file_specs(self, tmp_path):
         assert SparseMeasure.parse("1:0.5,2:0.5") == MIX
         # a hand-written file: no alpha key, masses off by 1e-10
@@ -177,11 +173,6 @@ class TestKernelConstruction:
         assert GegenbauerKernel(QUARTER, SparseMeasure({2: 1.0})).parity == "even"
         # the unit step is periodic: the walk alternates parity class
         assert GegenbauerKernel(QUARTER, DELTA1).parity == "odd"
-
-    def test_rejects_signed_step_law(self):
-        bad = SparseMeasure({0: 1.5, 1: -0.5}, signed=True)
-        with pytest.raises(ValueError):
-            GegenbauerKernel(QUARTER, bad)
 
 
 class TestConvolve:
@@ -221,11 +212,6 @@ class TestConvolve:
         out = convolve(HypergroupIndex(a), mu, nu)
         assert all(v >= 0.0 for _, v in out.items())
         assert abs(math.fsum(v for _, v in out.items()) - 1.0) < 1e-10
-
-    def test_rejects_signed_input(self):
-        s = SparseMeasure({0: 1.5, 1: -0.5}, signed=True)
-        with pytest.raises(ValueError):
-            convolve(QUARTER, s, DELTA1)
 
 
 class TestKernelRow:
@@ -328,11 +314,19 @@ class TestNStep:
         assert all(arr[s] == 0.0 for s in range(0, 18, 2))
 
     def test_state_cap(self):
+        # refused before any iteration: the support could reach 2 * n + 1 states
         k = GegenbauerKernel(QUARTER, MIX)
         with pytest.raises(StateCapError) as exc:
-            n_step(k, 0, 600, state_cap=1000)
-        assert exc.value.required > 1000
-        n_step(k, 0, 400, state_cap=1000)  # under the cap: fine
+            n_step(k, 0, DEFAULT_STATE_CAP // 2)
+        assert exc.value.required > DEFAULT_STATE_CAP
+
+    @pytest.mark.parametrize("x", [-1, -3])
+    def test_sequence_rejects_negative_start(self, x):
+        k = GegenbauerKernel(QUARTER, MIX)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            n_step_sequence(k, x, [1, 4])
+        with pytest.raises(ValueError, match="must be >= 0"):
+            n_step(k, x, 4)
 
     def test_sequence_matches_single_calls(self):
         k = GegenbauerKernel(QUARTER, MIX)

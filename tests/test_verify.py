@@ -161,14 +161,6 @@ class TestUnitStepAsymptote:
         rep = check_llt_periodic(QUARTER, 0, 0, [100, 1000, 10_000])
         assert rep.passed
 
-    def test_rejects_other_step_measures(self):
-        with pytest.raises(ValueError, match="unit-step"):
-            check_llt_periodic(CHEB, 0, 0, [4, 8], mu=MIX)
-
-    def test_explicit_unit_step_accepted(self):
-        rep = check_llt_periodic(CHEB, 0, 0, [2, 4], mu=SparseMeasure({1: 1.0}))
-        assert rep.theorem == "unit-step-llt"
-
 
 class TestSpaceScaled:
     def test_unit_spatial_scale(self):
