@@ -82,14 +82,14 @@ class SparseMeasure:
                 raise ValueError(f"SparseMeasure: non-integer state {s!r}")
             if state < 0:
                 raise ValueError(f"SparseMeasure: negative state {state}")
-            if mass < 0.0:
+            if not mass >= 0.0:
                 raise ValueError(
-                    f"SparseMeasure: negative mass {mass!r} at state {state}"
+                    f"SparseMeasure: negative mass or NaN {mass!r} at state {state}"
                 )
             if mass != 0.0:
                 items[state] = items.get(state, 0.0) + mass
         total = math.fsum(items.values())
-        if abs(total - 1.0) > total_tol:
+        if not abs(total - 1.0) <= total_tol:
             raise ValueError(
                 f"SparseMeasure: total mass {total!r} differs from 1 "
                 f"by more than {total_tol:g}"
@@ -215,7 +215,7 @@ class SparseMeasure:
                     raise ValueError(f"bad step-measure entry {item!r}: want state:mass")
                 pairs.append((int(state), float(mass)))
         total = math.fsum(m for _, m in pairs)
-        if abs(total - 1.0) > _PARSE_SUM_TOL:
+        if not abs(total - 1.0) <= _PARSE_SUM_TOL:
             raise ValueError(f"step-measure masses sum to {total!r}; must be 1 within 1e-9")
         return cls([(s, m / total) for s, m in pairs])
 

@@ -66,6 +66,11 @@ class TestMuSpec:
         assert rc == 2
         assert "sum" in err
 
+    def test_nan_mass_is_exit_2(self, capsys):
+        rc, out, _ = run(capsys, "kernel", "--alpha", "-0.5", "--mu", "1:nan",
+                         "--x", "0", "--n", "2")
+        assert rc == 2 and out == ""
+
     def test_small_roundoff_renormalized(self, capsys):
         rc, out, _ = run(capsys, "kernel", "--alpha", "-0.5",
                          "--mu", "1:0.33333333334,2:0.66666666667",
@@ -276,6 +281,11 @@ class TestSpecfun:
         rc, _, _ = run(capsys, "specfun", "ml-moment", "--order", "2.0",
                        "--p", "1")
         assert rc == 2
+
+    def test_ml_density_nan_x_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "specfun", "ml-density", "--order", "0.25",
+                           "--x", "nan")
+        assert rc == 2 and out == "" and "finite" in err
 
     def test_ml_sample_deterministic(self, capsys):
         args = ("specfun", "ml-sample", "--order", "0.5", "--size", "4",

@@ -82,6 +82,10 @@ class TestSparseMeasure:
         with pytest.raises(ValueError, match="negative mass"):
             SparseMeasure([(0, 1.0), (3, 0.5), (3, -0.5)])
 
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match="NaN"):
+            SparseMeasure({0: float("nan")})
+
     def test_zero_mass_dropped(self):
         m = SparseMeasure({0: 1.0, 5: 0.0})
         assert m.support == (0,)
@@ -160,6 +164,10 @@ class TestSerialization:
         assert mu[1] == 0.25 / math.fsum([0.25, 0.7500000001])
         with pytest.raises(ValueError, match="sum"):
             SparseMeasure.parse("1:0.5,2:0.4")
+
+    def test_parse_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match="sum"):
+            SparseMeasure.parse("1:nan")
 
     def test_walk_law_round_trip(self):
         law = n_step(GegenbauerKernel(QUARTER, MIX), 0, 6)

@@ -1,5 +1,6 @@
 """Tests for the gamma, Bessel, and Mittag-Leffler routines."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,10 +11,45 @@ from scipy.integrate import quad
 
 from gegwalk import specfun as sf
 from gegwalk.specfun import MittagLefflerDist
+from gegwalk.verify import _ml_cdf_table
 
 import _oracles as orc
 
 SQRT_PI = math.sqrt(math.pi)
+
+# ml_density values pinned bit for bit: the order-1/4 CDF table and so the
+# seed-7 verify-lt report depend on every bit.  The points from 10 (order
+# 1/4) and 7.5 (order 0.4) up re-run the series at an escalated working
+# precision.
+ML_DENSITY_HEX = {
+    (0.25, 0.01): "0x1.9eef7ac3b86dfp-1",
+    (0.25, 0.1): "0x1.85a2deface613p-1",
+    (0.25, 0.5): "0x1.22cccf1c2340dp-1",
+    (0.25, 1.0): "0x1.88891456474b1p-2",
+    (0.25, 2.0): "0x1.4a3e020f0e5cdp-3",
+    (0.25, 3.5): "0x1.31101b1a948e1p-5",
+    (0.25, 5.0): "0x1.ddb61c8988ddfp-8",
+    (0.25, 7.5): "0x1.7552375fcc8edp-12",
+    (0.25, 10.0): "0x1.aa6ab82e09ee5p-17",
+    (0.25, 13.0): "0x1.616aa86a56b98p-23",
+    (0.25, 17.0): "0x1.4d4e737ffe4cfp-32",
+    (0.25, 22.0): "0x1.066fc7599f4e9p-44",
+    (0.4, 0.01): "0x1.56b0df5586876p-1",
+    (0.4, 0.1): "0x1.4c3dbf718d15dp-1",
+    (0.4, 0.5): "0x1.17e454086e51fp-1",
+    (0.4, 1.0): "0x1.a41446788e1b7p-2",
+    (0.4, 2.0): "0x1.7c128f3de7dc5p-3",
+    (0.4, 3.5): "0x1.1cf2af6defa21p-5",
+    (0.4, 5.0): "0x1.febc69ef27ab0p-9",
+    (0.4, 7.5): "0x1.349525e0da096p-15",
+    (0.4, 10.0): "0x1.dbc6780ccf71fp-24",
+    (0.4, 13.0): "0x1.d36ba1f5c6503p-36",
+    (0.4, 17.0): "0x1.b25683b6cd28bp-55",
+    (0.4, 18.0): "0x1.629307c423dcap-60",
+}
+
+# SHA-256 of the order-1/4 CDF table that verify-lt interpolates
+ML_CDF_TABLE_SHA256 = "a0260cc17260d9700fea08338679d812dc49a591ca79bafb8f489d45857eb091"
 
 
 class TestGamma:
@@ -191,6 +227,29 @@ class TestMLDensity:
         for x in np.linspace(0.0, 10.0, 60):
             assert sf.ml_density(0.4, x) >= 0.0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            sf.ml_density(0.25, x)
+
+
+class TestMLDensityBits:
+    @pytest.mark.parametrize("order,x", sorted(ML_DENSITY_HEX))
+    def test_pinned_value(self, order, x):
+        assert float.hex(sf.ml_density(order, x)) == ML_DENSITY_HEX[order, x]
+
+    def test_cold_cache_equals_warm(self):
+        points = [(0.25, 1.0), (0.25, 13.0), (0.4, 7.5), (0.3, 1e-300)]
+        sf._density_factor.cache_clear()
+        cold = [float.hex(sf.ml_density(o, x)) for o, x in points]
+        assert sf._density_factor.cache_info().currsize > 0
+        warm = [float.hex(sf.ml_density(o, x)) for o, x in points]
+        assert cold == warm
+
+    def test_cdf_table_bytes(self):
+        vals = np.array(_ml_cdf_table(0.25)[1])
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == ML_CDF_TABLE_SHA256
+
 
 class TestMLMoment:
     @pytest.mark.parametrize("order", [0.2, 0.5, 0.9, 1.0])
@@ -297,6 +356,12 @@ class TestMittagLefflerDist:
         xs = np.array([0.2, 0.5, 1.0, 2.0, 4.0])
         ref = np.array([orc.erfc_quad(-x / 2.0) - 1.0 for x in xs])
         np.testing.assert_allclose(d.cdf_grid(xs), ref, atol=5e-6)
+
+    def test_cdf_grid_past_cutoff_is_one(self):
+        # the series does not converge at x = 40 (order 1/2); the grid stops
+        # at the tail cutoff and points beyond it read 1
+        cdf = MittagLefflerDist(0.5).cdf_grid([40.0], npoints=65)
+        np.testing.assert_array_equal(cdf, [1.0])
 
     @pytest.mark.parametrize("order", [0.3, 0.5])
     def test_moments_against_quadrature(self, order):
