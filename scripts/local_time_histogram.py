@@ -21,7 +21,7 @@ import numpy as np
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
 from gegwalk.specfun import MittagLefflerDist
-from gegwalk.verify import local_time_scale_constant
+from gegwalk.verify import local_time_scale, local_time_scale_constant
 from gegwalk.walk_sim import WalkConfig, local_time_counts
 
 
@@ -49,9 +49,8 @@ def main() -> int:
     hi = 0.0
     for n in (int(t) for t in args.horizons.split(",")):
         cfg = WalkConfig(idx, mu, 0, n, args.replicas, (args.y,), args.seed)
-        z = local_time_counts(cfg, threads=args.threads).counts[:, 0] / n ** (
-            -args.alpha
-        )
+        counts = local_time_counts(cfg, threads=args.threads).counts[:, 0]
+        z = counts / local_time_scale(args.alpha, n)
         hi = max(hi, float(z.max()))
         dens, edges = np.histogram(z, bins=args.bins, density=True)
         mids = 0.5 * (edges[:-1] + edges[1:])

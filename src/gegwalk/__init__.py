@@ -32,7 +32,6 @@ from gegwalk.hypergroup import (
     is_gegenbauer_walk,
     kernel_row,
     n_step,
-    n_step_by_convolution,
     n_step_sequence,
     transition_matrix,
 )
@@ -57,6 +56,7 @@ from gegwalk.verify import (
     check_local_time_limit,
     check_space_scaled_llt,
     ks_statistic,
+    local_time_scale,
     local_time_scale_constant,
 )
 from gegwalk.walk_sim import (

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import __version__
+from .errors import StateCapError
 from .gegenbauer import HypergroupIndex
 from .hypergroup import GegenbauerKernel, SparseMeasure, n_step
 from .specfun import (
@@ -28,7 +28,8 @@ from .specfun import (
     ml_moment,
     ml_sample,
 )
-from .verify import check_llt_aperiodic, check_llt_periodic, check_local_time_limit
+from .verify import (check_llt_aperiodic, check_llt_periodic,
+                     check_local_time_limit, local_time_scale)
 from .walk_sim import WalkConfig, local_time_counts
 
 import numpy as np
@@ -147,20 +148,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _canonical_scale(alpha: float, horizon: int) -> float:
-    if alpha < 0.0:
-        return float(horizon) ** (-alpha)
-    if alpha == 0.0 and horizon >= 2:
-        return math.log(horizon)
-    return 1.0
-
-
 def cmd_localtime(args) -> int:
     targets = _parse_n_list(args.y)
     cfg = _make_config(args, targets)
     lt = local_time_counts(cfg, threads=_resolve_threads(args))
     if args.format == "json":
-        scale = args.scale if args.scale is not None else _canonical_scale(
+        scale = args.scale if args.scale is not None else local_time_scale(
             args.alpha, args.n
         )
         try:
@@ -186,7 +179,7 @@ def cmd_verify_llt(args) -> int:
     mu = _parse_mu(args.mu)
     ns = _parse_n_list(args.n)
     try:
-        if mu.support == (1,):
+        if GegenbauerKernel(idx, mu).is_unit_step:
             rep = check_llt_periodic(idx, args.x, args.y, ns)
         else:
             rep = check_llt_aperiodic(idx, mu, args.x, args.y, ns)
@@ -420,7 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, StateCapError) as e:
         print(f"gegwalk: {e}", file=sys.stderr)
         return 2
 

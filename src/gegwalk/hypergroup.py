@@ -9,8 +9,7 @@ calculus in which mu_hat(theta) = sum mu(n) P_n(cos theta) turns
 convolution into pointwise products.
 
 Exact n-step laws are computed by iterating the one-step operator on a
-dense coefficient vector; the n-fold convolution route is kept as a slow
-cross-check oracle.
+dense coefficient vector.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "kernel_row",
     "n_step",
     "n_step_sequence",
-    "n_step_by_convolution",
     "fourier",
     "inverse_fourier",
     "classify",
@@ -241,6 +239,11 @@ class GegenbauerKernel:
             return "mixed"
         return "odd" if 1 in classes else "even"
 
+    @property
+    def is_unit_step(self) -> bool:
+        """True for the unit step mu = delta_1, whose rows have a closed form."""
+        return self.step_measure.support == (1,)
+
 
 def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
     """Floor negative round-off at 0 in a law vector, in place.
@@ -347,20 +350,6 @@ def n_step_sequence(
     if not ns:
         return {}
     return _n_step_laws(kernel, x, ns)
-
-
-def n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
-    """Oracle route: delta_x * mu^(n) by repeated measure convolution.
-
-    Quadratic in n and kept deliberately independent of the operator
-    iteration in n_step; intended for cross-checks at small n.
-    """
-    if n > 64:
-        raise ValueError("n_step_by_convolution: oracle route is limited to n <= 64")
-    power = SparseMeasure.point(0)
-    for _ in range(n):
-        power = convolve(kernel.idx, power, kernel.step_measure)
-    return convolve(kernel.idx, SparseMeasure.point(x), power)
 
 
 def fourier(idx: HypergroupIndex, mu: SparseMeasure, theta: float) -> float:

@@ -50,6 +50,9 @@ _QUIET_RUN = 3
 # float64; switch to the same series at elevated working precision.
 _J_SERIES_F64_CUTOFF = 12.0
 
+# Mittag-Leffler density below which `_density_cutoff` ends the tail.
+_TAIL_DENSITY = 1e-12
+
 
 def gamma_fn(x: float) -> float:
     """Gamma function for real x, poles excluded.
@@ -242,10 +245,12 @@ def ml_density(order: float, x: float) -> float:
     exactly.  At x = 0 the continuity value sin(pi order) Gamma(order)/pi
     is returned.  order = 1 is the point mass at 1 and has no density.
 
-    The term ratio scales like x * k^(order-1), so for order above roughly
-    0.65 the tail of the series outlives the 500-term cap at moderate x
-    and an ArithmeticError is raised.  Local-time limit laws only need
-    order <= 1/2, where the series converges comfortably.  Non-finite x
+    The term ratio scales like x * k^(order-1), so the tail of the series
+    outlives the 500-term cap once x is large enough and an
+    ArithmeticError is raised: at moderate x for order above roughly
+    0.65, and for the orders <= 1/2 that local-time limit laws need, just
+    past the tail cutoff `_density_cutoff` (from about x = 13.2 at order
+    1/2, cutoff 12; at x = 20 at order 0.4, cutoff 16).  Non-finite x
     raises ValueError.
 
     The x-free factors (-1)^(k-1) sin(pi k order) Gamma(k order) and
@@ -358,8 +363,8 @@ def bessel_marginal_density(index: float, x: float) -> float:
     return x**power * math.exp(-0.5 * x * x) / (2.0**index * gamma_fn(index + 1.0))
 
 
-def _density_cutoff(order: float, eps: float = 1e-12) -> float:
-    """First even X >= 4 with ml_density(order, X) below eps.
+def _density_cutoff(order: float) -> float:
+    """First even X >= 4 with ml_density(order, X) below _TAIL_DENSITY.
 
     The density decays like exp(-c x^(1/(1-order))), so a linear scan in
     steps of 2 terminates quickly (12 at order 1/2, 22 at 1/4, 28 at 0.1);
@@ -368,7 +373,7 @@ def _density_cutoff(order: float, eps: float = 1e-12) -> float:
     the cap allows.
     """
     x = 4.0
-    while ml_density(order, x) > eps:
+    while ml_density(order, x) > _TAIL_DENSITY:
         x += 2.0
         if x > 256.0:  # pragma: no cover - defensive
             raise ArithmeticError("_density_cutoff: no decay found")

@@ -386,6 +386,17 @@ def local_time_scale_constant(idx: HypergroupIndex, mu: SparseMeasure, y: int) -
     return weight(idx, y) * gamma_fn(a + 1.0) * gamma_fn(-a) / (2.0 * C ** (a + 1.0))
 
 
+def local_time_scale(alpha: float, horizon: int) -> float:
+    """Divisor of N_n(y) in its limit law: n^|alpha| for alpha < 0, log n
+    for alpha = 0; 1.0 for alpha > 0 and for alpha = 0 with n < 2.
+    """
+    if alpha < 0.0:
+        return float(horizon) ** (-alpha)
+    if alpha == 0.0 and horizon >= 2:
+        return math.log(horizon)
+    return 1.0
+
+
 def check_local_time_limit(
     idx: HypergroupIndex,
     mu: SparseMeasure,
@@ -399,7 +410,6 @@ def check_local_time_limit(
     n_moments: int = 3,
     moment_floor: float = 0.02,
     ks_threshold: float = 0.02,
-    samples: np.ndarray | None = None,
 ) -> VerifyReport:
     """Monte Carlo local time against its limit law.
 
@@ -407,8 +417,7 @@ def check_local_time_limit(
     K M(|a|); for a = 0, N_n(y)/log n with an exponential law of mean
     (2y+1)/(4C).  Checks the first `n_moments` moments (window: 3
     standard errors + `moment_floor` relative) and the KS distance to
-    the limit CDF.  Pass `samples` to reuse counts from an existing run
-    of the same configuration instead of resimulating.
+    the limit CDF.
 
     The theorems hold from any start x; finite-n error as a function of
     x is not quantified, so reports from different starts should be
@@ -422,22 +431,16 @@ def check_local_time_limit(
         )
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    unit_step = mu.support == (1,)
-    if not unit_step:
-        kernel = GegenbauerKernel(idx, mu)
+    kernel = GegenbauerKernel(idx, mu)
+    if not kernel.is_unit_step:
         _require_aperiodic(kernel)
 
-    if samples is None:
-        cfg = WalkConfig(idx, mu, x, horizon, replicas, (y,), seed)
-        counts = local_time_counts(cfg, threads=threads).counts[:, 0]
-    else:
-        counts = np.asarray(samples)
-        if counts.shape != (replicas,):
-            raise ValueError("samples must be one count per replica")
+    cfg = WalkConfig(idx, mu, x, horizon, replicas, (y,), seed)
+    counts = local_time_counts(cfg, threads=threads).counts[:, 0]
 
     C = drift_constant(idx, mu)
+    scale = local_time_scale(a, horizon)
     if a < 0.0:
-        scale = float(horizon) ** (-a)
         K = local_time_scale_constant(idx, mu, y)
         dist = MittagLefflerDist(-a)
         moment_pred = [K**p * dist.moment(p) for p in range(1, n_moments + 1)]
@@ -449,7 +452,6 @@ def check_local_time_limit(
 
         law_desc = {"limit": "mittag-leffler", "order": -a, "K": K}
     else:
-        scale = math.log(horizon)
         mean = (2.0 * y + 1.0) / (4.0 * C)
         moment_pred = [math.factorial(p) * mean**p for p in range(1, n_moments + 1)]
 

@@ -18,7 +18,7 @@ import json
 import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -159,10 +159,6 @@ def _row_cdf(alpha: float, mu_items: tuple, x: int) -> tuple:
     return tuple(cdf)
 
 
-def _is_unit_step(mu: SparseMeasure) -> bool:
-    return mu.support == (1,)
-
-
 def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dict]:
     """Scalar reference simulation of one replica.
 
@@ -178,7 +174,7 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dic
     a = config.idx.alpha
     mu_items = tuple(config.mu.items())
     smax = config.mu.max_state
-    fast = _is_unit_step(config.mu)
+    fast = config.kernel.is_unit_step
     targets = config.target_states
 
     s = config.start
@@ -223,7 +219,7 @@ class _RowTable:
     def grow(self, needed: int) -> None:
         if needed + 1 > DEFAULT_STATE_CAP:
             raise StateCapError(
-                f"sampling-row table would need {needed + 1} states",
+                f"sampling-row table exceeds the state cap {DEFAULT_STATE_CAP}",
                 required=needed + 1,
             )
         old = self.cdf.shape[0]
@@ -238,35 +234,23 @@ class _RowTable:
             self.grow(max_state + 64 * self.smax)
 
 
-def _run_block(
-    config: WalkConfig,
-    r0: int,
-    r1: int,
-    horizon: int,
-    snap_steps: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Advance replicas r0..r1-1 in lockstep to `horizon`.
+def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance replicas r0..r1-1 in lockstep to the configured horizon.
 
-    Returns per-replica counts (B x K int64), terminal states, and the
-    per-target count sums at each requested snapshot step.
+    Returns per-replica counts (B x K int64) and terminal states.
     """
     B = r1 - r0
     a = config.idx.alpha
+    horizon = config.horizon
     targets = config.target_states
     K = len(targets)
-    fast = _is_unit_step(config.mu)
+    fast = config.kernel.is_unit_step
     gens = [_replica_rng(config.seed, r) for r in range(r0, r1)]
 
     S = np.full(B, config.start, dtype=np.int64)
     counts = np.zeros((B, K), dtype=np.int64)
     for j, y in enumerate(targets):
         counts[:, j] += S == y  # the k = 0 visit
-    snaps: list[np.ndarray] = []
-    snap_iter = iter(snap_steps)
-    next_snap = next(snap_iter, None)
-    if next_snap == 0:
-        snaps.append(counts.sum(axis=0))
-        next_snap = next(snap_iter, None)
 
     table = None if fast else _RowTable(a, config.mu, config.start)
     smax = config.mu.max_state
@@ -297,15 +281,8 @@ def _run_block(
                 S += (rows <= u[:, None]).sum(axis=1) - smax
             for j, y in enumerate(targets):
                 counts[:, j] += S == y
-            if done + t + 1 == next_snap:
-                snaps.append(counts.sum(axis=0))
-                next_snap = next(snap_iter, None)
         done += T
-    return counts, S.copy(), snaps
-
-
-def _block_ranges(replicas: int) -> list[tuple[int, int]]:
-    return [(r0, min(r0 + _BLOCK, replicas)) for r0 in range(0, replicas, _BLOCK)]
+    return counts, S.copy()
 
 
 def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSamples:
@@ -321,11 +298,11 @@ def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSampl
     K = len(config.target_states)
     counts = np.empty((R, K), dtype=np.int64)
     terminal = np.empty(R, dtype=np.int64)
-    blocks = _block_ranges(R)
+    blocks = [(r0, min(r0 + _BLOCK, R)) for r0 in range(0, R, _BLOCK)]
 
     def run(span: tuple[int, int]) -> None:
         r0, r1 = span
-        c, term, _ = _run_block(config, r0, r1, config.horizon, ())
+        c, term = _run_block(config, r0, r1)
         counts[r0:r1] = c
         terminal[r0:r1] = term
 
@@ -347,10 +324,12 @@ def mean_visits_curve(
     *,
     threads: int = 1,
 ) -> list[tuple[int, dict[int, float]]]:
-    """Empirical mean of N_n(y) at several horizons n, one pass per replica.
+    """Empirical mean of N_n(y) at several horizons n, one run per horizon.
 
-    Checkpoints must be ascending and within the configured horizon.
-    Returns rows (n, {y: mean over replicas}).
+    Replica r draws from the same Philox stream in every run, so the
+    counts at n equal those of a longer run at its step n.  Checkpoints
+    must be ascending and within the configured horizon.  Returns rows
+    (n, {y: mean over replicas}).
     """
     cps = [int(n) for n in checkpoints]
     if not cps:
@@ -362,25 +341,10 @@ def mean_visits_curve(
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    K = len(config.target_states)
-    sums = np.zeros((len(cps), K), dtype=np.int64)
-    blocks = _block_ranges(config.replicas)
-
-    def run(span: tuple[int, int]) -> np.ndarray:
-        r0, r1 = span
-        _, _, snaps = _run_block(config, r0, r1, cps[-1], cps)
-        return np.stack(snaps)
-
-    if threads == 1 or len(blocks) == 1:
-        for span in blocks:
-            sums += run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run, blocks):
-                sums += part
-
     R = config.replicas
-    return [
-        (n, {y: sums[i, j] / R for j, y in enumerate(config.target_states)})
-        for i, n in enumerate(cps)
-    ]
+    rows = []
+    for n in cps:
+        run = local_time_counts(replace(config, horizon=n), threads=threads)
+        means = run.counts.sum(axis=0) / R
+        rows.append((n, {y: means[j] for j, y in enumerate(config.target_states)}))
+    return rows

@@ -193,6 +193,27 @@ class TestLocaltime:
         assert json.loads(out)["scale"] == 10.0 and rc == 0
 
 
+class TestStateCap:
+    # each size is refused before any iteration, so these run at once
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--alpha", "-0.5", "--mu", "1:1", "--x", "0",
+             "--n", "2000000"],
+            ["verify-llt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
+             "--x", "0", "--y", "0", "--n", "64,600000"],
+            ["verify-lt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
+             "--x", "999990", "--y", "0", "--n", "10", "--replicas", "100",
+             "--seed", "1"],
+        ],
+        ids=["kernel", "verify-llt", "verify-lt"],
+    )
+    def test_state_cap_is_exit_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("gegwalk: ") and "state cap" in err
+
+
 class TestVerifyLlt:
     def test_aperiodic_route(self, capsys):
         rc, out, err = run(capsys, "verify-llt", "--alpha", "-0.25",

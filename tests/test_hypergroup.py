@@ -21,7 +21,6 @@ from gegwalk.hypergroup import (
     is_gegenbauer_walk,
     kernel_row,
     n_step,
-    n_step_by_convolution,
     n_step_sequence,
     transition_matrix,
 )
@@ -46,6 +45,14 @@ def prob_measures(draw, max_state=12, max_atoms=4):
 
 
 alphas = st.sampled_from([-0.5, -0.25, 0.0, 0.7, 2.0])
+
+
+def _n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
+    """delta_x * mu^(n) by repeated measure convolution, the slow cross-check."""
+    power = SparseMeasure.point(0)
+    for _ in range(n):
+        power = convolve(kernel.idx, power, kernel.step_measure)
+    return convolve(kernel.idx, SparseMeasure.point(x), power)
 
 
 def tv_distance(a: SparseMeasure, b: SparseMeasure) -> float:
@@ -182,6 +189,18 @@ class TestKernelConstruction:
         # the unit step is periodic: the walk alternates parity class
         assert GegenbauerKernel(QUARTER, DELTA1).parity == "odd"
 
+    @pytest.mark.parametrize(
+        "masses,expected",
+        [
+            ({1: 1.0}, True),
+            ({1: 0.5, 3: 0.5}, False),
+            ({2: 1.0}, False),
+            ({1: 0.5, 2: 0.5}, False),
+        ],
+    )
+    def test_is_unit_step(self, masses, expected):
+        assert GegenbauerKernel(QUARTER, SparseMeasure(masses)).is_unit_step is expected
+
 
 class TestConvolve:
     def test_identity_element(self):
@@ -300,13 +319,8 @@ class TestNStep:
         idx = HypergroupIndex(alpha)
         k = GegenbauerKernel(idx, mu)
         direct = n_step(k, x, n)
-        oracle = n_step_by_convolution(k, x, n)
+        oracle = _n_step_by_convolution(k, x, n)
         assert tv_distance(direct, oracle) < 1e-11
-
-    def test_convolution_route_caps_n(self):
-        k = GegenbauerKernel(QUARTER, MIX)
-        with pytest.raises(ValueError):
-            n_step_by_convolution(k, 0, 65)
 
     def test_mass_conserved_long_run(self):
         k = GegenbauerKernel(QUARTER, MIX)

@@ -18,10 +18,10 @@ from gegwalk.verify import (
     check_space_scaled_llt,
     ks_statistic,
     llt_prediction,
+    local_time_scale,
     local_time_scale_constant,
     space_scaled_from_origin,
 )
-from gegwalk.walk_sim import WalkConfig, local_time_counts
 
 from _oracles import unit_step_lt_constant
 
@@ -223,6 +223,20 @@ class TestLocalTimeScaleConstant:
             local_time_scale_constant(HypergroupIndex(0.5), D1, 0)
 
 
+class TestLocalTimeScale:
+    @pytest.mark.parametrize(
+        "alpha,n,expected",
+        [
+            (-0.5, 100, 10.0),  # n^|alpha|
+            (0.0, 100, math.log(100)),
+            (0.0, 1, 1.0),  # log 1 = 0 is no scale
+            (0.5, 100, 1.0),  # transient: no scaling limit
+        ],
+    )
+    def test_branches(self, alpha, n, expected):
+        assert local_time_scale(alpha, n) == expected
+
+
 class TestLocalTimeLimit:
     def test_reflected_walk_origin(self):
         rep = check_local_time_limit(CHEB, D1, 0, 0, 4000, 20_000, 100)
@@ -262,11 +276,8 @@ class TestLocalTimeLimit:
         assert rep.params["scale"] == pytest.approx(math.log(100_000))
 
     def test_exponential_mean_formula(self):
-        # (2y+1)/(4C); dummy samples skip the simulation
-        dummy = np.ones(500)
-        rep = check_local_time_limit(
-            ZERO, MIX, 0, 3, 100, 500, 0, samples=dummy
-        )
+        # (2y+1)/(4C)
+        rep = check_local_time_limit(ZERO, MIX, 0, 3, 100, 500, 0)
         C = drift_constant(ZERO, MIX)
         assert rep.params["mean"] == pytest.approx(7.0 / (4.0 * C))
 
@@ -290,21 +301,6 @@ class TestLocalTimeLimit:
     def test_rejects_periodic_nonunit_step(self):
         with pytest.raises(ValueError):
             check_local_time_limit(CHEB, SparseMeasure({2: 1.0}), 0, 0, 100, 200, 0)
-
-    def test_sample_reuse_matches_fresh_run(self):
-        cfg = WalkConfig(CHEB, D1, 0, 1000, 2000, (0,), 13)
-        counts = local_time_counts(cfg).counts[:, 0]
-        reused = check_local_time_limit(
-            CHEB, D1, 0, 0, 1000, 2000, 13, samples=counts
-        )
-        fresh = check_local_time_limit(CHEB, D1, 0, 0, 1000, 2000, 13)
-        assert reused.rows == fresh.rows
-
-    def test_sample_shape_validated(self):
-        with pytest.raises(ValueError):
-            check_local_time_limit(
-                CHEB, D1, 0, 0, 1000, 2000, 13, samples=np.ones(7)
-            )
 
     def test_aperiodic_mixture_runs(self):
         rep = check_local_time_limit(

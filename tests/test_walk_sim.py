@@ -264,12 +264,18 @@ class TestMeanVisitsCurve:
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_agrees_with_direct_run(self):
-        c = cfg(idx=QUARTER, mu=MIX, horizon=80, replicas=2500, seed=55)
-        curve = mean_visits_curve(c, [30, 80])
-        direct = local_time_counts(
-            WalkConfig(QUARTER, MIX, 0, 30, 2500, (0,), 55)
-        )
-        assert curve[0][1][0] == direct.counts[:, 0].mean()
+        # every checkpoint, 0 included, equals a direct run to that
+        # horizon bit for bit, at one thread and at two
+        c = cfg(idx=QUARTER, mu=MIX, horizon=80, replicas=5000, seed=55)
+        cps = [0, 30, 80]
+        for threads in (1, 2):
+            curve = mean_visits_curve(c, cps, threads=threads)
+            assert [n for n, _ in curve] == cps
+            for n, means in curve:
+                direct = local_time_counts(
+                    WalkConfig(QUARTER, MIX, 0, n, 5000, (0,), 55)
+                )
+                assert means[0] == direct.counts[:, 0].mean()
 
     def test_reflected_mean_visits_scale(self):
         # mean visits to 0 grow like sqrt(2 n / pi) for the reflected walk
