@@ -414,13 +414,17 @@ class MittagLefflerDist:
         Builds a trapezoid cumulative of the density on a uniform grid
         from 0 to the tail cutoff, then interpolates.  Points past the
         cutoff, where the density is below 1e-12 and the series may not
-        converge, get 1.  Suited to goodness-of-fit statistics over
-        large samples.
+        converge, get 1.  The density is evaluated only up to the first
+        node at or past max(xs): the cumulative at a node depends only on
+        the nodes before it, so the values read are those of the full
+        grid.  Suited to goodness-of-fit statistics over large samples.
         """
         xs = np.asarray(xs, dtype=float)
         if self.is_point_mass:
             return (xs >= 1.0).astype(float)
         grid = np.linspace(0.0, _density_cutoff(self.order), npoints)
+        if xs.size:
+            grid = grid[: np.searchsorted(grid, xs.max()) + 1]
         dens = np.array([ml_density(self.order, g) for g in grid])
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
         cum = np.minimum(cum, 1.0)

@@ -15,7 +15,6 @@ replica for replica.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -143,12 +142,15 @@ def _row_cdf(alpha: float, mu_items: tuple, x: int) -> tuple:
     Entry j is the cumulative mass of states x - smax + j; the final
     entry is forced to 1.0 so a uniform draw always lands.  Offsets that
     fall outside the row (negative states, parity gaps) carry no new
-    mass and can never be selected.
+    mass and can never be selected.  The unit step's row is the closed
+    form (p, p, 1.0) with down-probability p = x / (2x + 2 alpha + 1).
     """
-    idx = HypergroupIndex(alpha)
-    mu = SparseMeasure(dict(mu_items))
-    row = kernel_row(GegenbauerKernel(idx, mu), x)
-    smax = mu.max_state
+    kernel = GegenbauerKernel(HypergroupIndex(alpha), SparseMeasure(dict(mu_items)))
+    if kernel.is_unit_step:
+        p = x / (2.0 * x + (2.0 * alpha + 1.0)) if x > 0 else 0.0
+        return (p, p, 1.0)
+    row = kernel_row(kernel, x)
+    smax = kernel.step_measure.max_state
     run = 0.0
     cdf = []
     for d in range(-smax, smax + 1):
@@ -163,10 +165,9 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dic
     """Scalar reference simulation of one replica.
 
     Walks step by step, sampling each transition by inverse CDF on the
-    kernel row of the current state (rows held in a bounded read-through
-    cache).  The unit-step measure takes a closed-form two-point path
-    with no cache.  One uniform is consumed per step on every route,
-    including forced moves, so the stream position is route-independent.
+    `_row_cdf` row of the current state (rows held in a bounded
+    read-through cache); the unit step's closed-form row takes the same
+    path.  One uniform is consumed per step, including forced moves.
     """
     if not 0 <= replica < config.replicas:
         raise ValueError("replica index out of range")
@@ -174,7 +175,6 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dic
     a = config.idx.alpha
     mu_items = tuple(config.mu.items())
     smax = config.mu.max_state
-    fast = config.kernel.is_unit_step
     targets = config.target_states
 
     s = config.start
@@ -182,17 +182,9 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dic
     counts = {y: 0 for y in targets}
     if s in counts:
         counts[s] += 1  # the k = 0 visit
-    c2 = 2.0 * a + 1.0
     for _ in range(config.horizon):
         u = rng.random()
-        if fast:
-            if s > 0 and u < s / (2.0 * s + c2):
-                s -= 1
-            else:
-                s += 1
-        else:
-            cdf = _row_cdf(a, mu_items, s)
-            s += bisect_right(cdf, u) - smax
+        s += bisect_right(_row_cdf(a, mu_items, s), u) - smax
         if s > smax_seen:
             smax_seen = s
         if s in counts:
@@ -201,20 +193,22 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dic
 
 
 class _RowTable:
-    """Dense sampling-CDF table over states 0..nrows-1, grown on demand.
+    """Sampling-CDF table over states lo, lo + 1, ..., stored by column.
 
-    The vectorized engine's version of the row cache: rows come from the
-    same `_row_cdf` entries the scalar path uses, so both routes compare
-    a uniform against identical doubles.
+    `cols[j][x - lo]` is entry j of `_row_cdf(x)`, the same doubles the
+    scalar path reads.  Each row's forced final 1.0 is not stored: no
+    uniform in [0, 1) reaches it.  A walk of `horizon` steps from
+    `start` never goes below lo = max(0, start - horizon * smax), so no
+    row under lo is built; the top grows on demand.
     """
 
-    def __init__(self, alpha: float, mu: SparseMeasure, start: int):
-        self.alpha = alpha
-        self.mu_items = tuple(mu.items())
-        self.smax = mu.max_state
-        self.width = 2 * self.smax + 1
-        self.cdf = np.empty((0, self.width))
-        self.grow(start + 64 * self.smax)
+    def __init__(self, config: WalkConfig):
+        self.alpha = config.idx.alpha
+        self.mu_items = tuple(config.mu.items())
+        self.smax = config.mu.max_state
+        self.lo = max(0, config.start - config.horizon * self.smax)
+        self.cols = np.empty((2 * self.smax, 0))
+        self.grow(config.start + 64 * self.smax)
 
     def grow(self, needed: int) -> None:
         if needed + 1 > DEFAULT_STATE_CAP:
@@ -222,15 +216,15 @@ class _RowTable:
                 f"sampling-row table exceeds the state cap {DEFAULT_STATE_CAP}",
                 required=needed + 1,
             )
-        old = self.cdf.shape[0]
-        new = np.empty((needed + 1, self.width))
-        new[:old] = self.cdf
-        for x in range(old, needed + 1):
-            new[x] = _row_cdf(self.alpha, self.mu_items, x)
-        self.cdf = new
+        old = self.cols.shape[1]
+        new = np.empty((2 * self.smax, needed + 1 - self.lo))
+        new[:, :old] = self.cols
+        for i in range(old, new.shape[1]):
+            new[:, i] = _row_cdf(self.alpha, self.mu_items, self.lo + i)[:-1]
+        self.cols = new
 
     def ensure(self, max_state: int) -> None:
-        if max_state + self.smax >= self.cdf.shape[0]:
+        if max_state + self.smax >= self.lo + self.cols.shape[1]:
             self.grow(max_state + 64 * self.smax)
 
 
@@ -240,11 +234,9 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     Returns per-replica counts (B x K int64) and terminal states.
     """
     B = r1 - r0
-    a = config.idx.alpha
     horizon = config.horizon
     targets = config.target_states
     K = len(targets)
-    fast = config.kernel.is_unit_step
     gens = [_replica_rng(config.seed, r) for r in range(r0, r1)]
 
     S = np.full(B, config.start, dtype=np.int64)
@@ -252,11 +244,8 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     for j, y in enumerate(targets):
         counts[:, j] += S == y  # the k = 0 visit
 
-    table = None if fast else _RowTable(a, config.mu, config.start)
-    smax = config.mu.max_state
-    c2 = 2.0 * a + 1.0
-    d = np.empty(B)
-    p = np.empty(B)
+    table = _RowTable(config)
+    smax = table.smax
 
     chunk = min(_CHUNK, horizon) if horizon else 0
     U = np.empty((B, chunk)) if chunk else None
@@ -268,17 +257,11 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
         Ut = np.ascontiguousarray(U[:, :T].T)
         for t in range(T):
             u = Ut[t]
-            if fast:
-                np.multiply(S, 2.0, out=d)
-                d += c2
-                p.fill(0.0)
-                np.divide(S, d, out=p, where=d > 0)
-                S += 1
-                S -= 2 * (u < p)
-            else:
-                table.ensure(int(S.max()))
-                rows = table.cdf[S]
-                S += (rows <= u[:, None]).sum(axis=1) - smax
+            table.ensure(int(S.max()))
+            here = S - table.lo
+            S -= smax
+            for col in table.cols:
+                S += col[here] <= u
             for j, y in enumerate(targets):
                 counts[:, j] += S == y
         done += T

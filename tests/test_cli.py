@@ -205,8 +205,10 @@ class TestStateCap:
             ["verify-lt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
              "--x", "999990", "--y", "0", "--n", "10", "--replicas", "100",
              "--seed", "1"],
+            ["localtime", "--alpha", "-0.5", "--mu", "1:1", "--x", "999990",
+             "--y", "0", "--n", "10", "--replicas", "100", "--seed", "1"],
         ],
-        ids=["kernel", "verify-llt", "verify-lt"],
+        ids=["kernel", "verify-llt", "verify-lt", "localtime"],
     )
     def test_state_cap_is_exit_2(self, capsys, argv):
         rc, out, err = run(capsys, *argv)

@@ -357,6 +357,18 @@ class TestMittagLefflerDist:
         ref = np.array([orc.erfc_quad(-x / 2.0) - 1.0 for x in xs])
         np.testing.assert_allclose(d.cdf_grid(xs), ref, atol=5e-6)
 
+    def test_cdf_grid_evaluates_only_the_nodes_it_reads(self, monkeypatch):
+        # the trapezoid cumulative up to the first node at or past 1.0
+        # needs no density beyond that node
+        seen = []
+        density = sf.ml_density
+        monkeypatch.setattr(sf, "ml_density", lambda o, x: seen.append(x) or density(o, x))
+        grid = np.linspace(0.0, sf._density_cutoff(0.5), 4097)
+        scan = len(seen)
+        seen.clear()
+        MittagLefflerDist(0.5).cdf_grid([1.0])
+        assert len(seen) == scan + np.count_nonzero(grid < 1.0) + 1
+
     def test_cdf_grid_past_cutoff_is_one(self):
         # the series does not converge at x = 40 (order 1/2); the grid stops
         # at the tail cutoff and points beyond it read 1

@@ -13,6 +13,7 @@ from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, kernel_row, n_st
 from gegwalk.walk_sim import (
     LocalTimeSamples,
     WalkConfig,
+    _row_cdf,
     local_time_counts,
     mean_visits_curve,
     simulate_replica,
@@ -53,7 +54,7 @@ class TestWalkConfig:
 
 
 class TestSimulateReplica:
-    def test_matches_vectorized_engine_fast_path(self):
+    def test_matches_vectorized_engine_unit_step(self):
         c = cfg(horizon=60, replicas=250, targets=(0, 1, 4), seed=7)
         lt = local_time_counts(c)
         for r in (0, 1, 100, 249):
@@ -128,6 +129,24 @@ class TestPathStructure:
         assert (obs[~keep] == 0).all()
         _, pval = chisquare(obs[keep], exp[keep])
         assert pval > 0.001
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 0.5])
+    def test_unit_step_row_is_closed_form(self, alpha):
+        row = unit_step_row(alpha)
+        for x in range(201):
+            p = row(x)[0][1] if x > 0 else 0.0
+            assert _row_cdf(alpha, ((1, 1.0),), x) == (p, p, 1.0)
+
+    def test_table_starts_where_the_walk_can_reach(self):
+        # 10 steps of at most 2 from x = 8000 never go below 7980, so the
+        # rows under it are never built
+        n, smax = 10, MIX.max_state
+        _row_cdf.cache_clear()
+        local_time_counts(cfg(idx=QUARTER, mu=MIX, start=8000, horizon=n,
+                              replicas=100, targets=(8000,)))
+        assert _row_cdf.cache_info().misses <= 2 * n * smax + 64 * smax + 1
 
 
 class TestLocalTimeCounts:
