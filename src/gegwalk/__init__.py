@@ -37,12 +37,10 @@ from gegwalk.hypergroup import (
 )
 from gegwalk.specfun import (
     MittagLefflerDist,
-    MLValue,
     bessel_i,
     bessel_j,
     bessel_marginal_density,
     gamma_fn,
-    log_gamma_fn,
     ml_density,
     ml_function,
     ml_moment,
@@ -61,10 +59,8 @@ from gegwalk.verify import (
 )
 from gegwalk.walk_sim import (
     LocalTimeSamples,
-    PathSummary,
     WalkConfig,
     local_time_counts,
-    mean_visits_curve,
     simulate_replica,
 )
 

@@ -22,17 +22,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
 
 __all__ = [
     "gamma_fn",
-    "log_gamma_fn",
     "bessel_j",
     "bessel_i",
-    "MLValue",
     "ml_function",
     "ml_density",
     "ml_moment",
@@ -66,13 +63,6 @@ def gamma_fn(x: float) -> float:
         return math.gamma(x)
     except OverflowError:
         return math.inf
-
-
-def log_gamma_fn(x: float) -> float:
-    """log |Gamma(x)|; companion to gamma_fn for large arguments."""
-    if x <= 0.0 and float(x).is_integer():
-        raise ValueError(f"log_gamma_fn: pole at non-positive integer x={x:g}")
-    return math.lgamma(x)
 
 
 def _bessel_series_f64(order: float, x: float, sign: float) -> float:
@@ -161,33 +151,22 @@ def bessel_i(order: float, x: float) -> float:
     return _bessel_series_f64(order, x, 1.0)
 
 
-class MLValue(NamedTuple):
-    """Mittag-Leffler function value with a convergence flag.
-
-    ``ok`` is False when the series did not converge within the term cap;
-    the accompanying value is then the truncated partial sum and should
-    not be trusted.
-    """
-
-    value: float
-    ok: bool
-
-
-def ml_function(order: float, x: float) -> MLValue:
+def ml_function(order: float, x: float) -> float:
     """Mittag-Leffler function E_order(x) = sum (-x)^p / Gamma(order*p+1).
 
     The alternating series cancels heavily for large x, so it is summed at
     a working precision chosen from an a-posteriori cancellation estimate
     and escalated until the float64 result is certified.  For small
-    ``order`` and moderate x the 500-term cap can be reached first; the
-    result is then flagged via ``ok=False``.
+    ``order`` and moderate x the 500-term cap can be reached first, and
+    an ArithmeticError is raised, as ml_density raises (order 1/4 at
+    x = 3, order 0.1 at x = 2).
     """
     if not 0.0 < order <= 1.0:
         raise ValueError("ml_function: order must lie in (0, 1]")
     if x < 0.0:
         raise ValueError("ml_function: x must be >= 0")
     if x == 0.0:
-        return MLValue(1.0, True)
+        return 1.0
     dps = 20
     while True:
         with mp.workdps(dps):
@@ -212,11 +191,14 @@ def ml_function(order: float, x: float) -> MLValue:
                 else:
                     quiet = 0
             if not converged:
-                return MLValue(float(s), False)
+                raise ArithmeticError(
+                    f"ml_function: series did not converge within {_TERM_CAP} terms "
+                    f"(order={order:g}, x={x:g})"
+                )
             # digits lost to cancellation
             lost = float(mp.log10(peak / abs(s))) if s != 0 else float(dps)
         if lost + 14.0 < dps:
-            return MLValue(float(s), True)
+            return float(s)
         dps = int(dps + lost + 10.0)
 
 

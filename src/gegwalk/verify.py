@@ -417,7 +417,9 @@ def check_local_time_limit(
     K M(|a|); for a = 0, N_n(y)/log n with an exponential law of mean
     (2y+1)/(4C).  Checks the first `n_moments` moments (window: 3
     standard errors + `moment_floor` relative) and the KS distance to
-    the limit CDF.
+    the limit CDF.  A `ks_threshold` that is not finite and positive, a
+    `moment_floor` that is not finite and nonnegative, or a negative
+    `n_moments` raises ValueError.
 
     The theorems hold from any start x; finite-n error as a function of
     x is not quantified, so reports from different starts should be
@@ -431,6 +433,12 @@ def check_local_time_limit(
         )
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
+    if n_moments < 0:
+        raise ValueError(f"n_moments must be >= 0, got {n_moments}")
+    if not (math.isfinite(moment_floor) and moment_floor >= 0.0):
+        raise ValueError(f"moment_floor must be finite and >= 0, got {moment_floor!r}")
+    if not (math.isfinite(ks_threshold) and ks_threshold > 0.0):
+        raise ValueError(f"ks_threshold must be finite and > 0, got {ks_threshold!r}")
     kernel = GegenbauerKernel(idx, mu)
     if not kernel.is_unit_step:
         _require_aperiodic(kernel)

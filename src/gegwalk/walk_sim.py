@@ -15,11 +15,11 @@ replica for replica.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,10 @@ from .gegenbauer import HypergroupIndex
 from .hypergroup import DEFAULT_STATE_CAP, GegenbauerKernel, SparseMeasure, kernel_row
 
 _BLOCK = 4096   # replicas advanced together by the vectorized engine
-_CHUNK = 4096   # uniforms buffered per replica between refills
+# Uniforms buffered per replica between refills.  A full block holds
+# B x _CHUNK of them plus, while the next chunk is transposed, two
+# transposed copies: 48 MiB per block in flight.
+_CHUNK = 512
 _ROW_CACHE = 4096
 
 
@@ -61,16 +64,6 @@ class WalkConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("WalkConfig: seed must fit in 64 bits")
 
-    @property
-    def kernel(self) -> GegenbauerKernel:
-        return GegenbauerKernel(self.idx, self.mu)
-
-
-class PathSummary(NamedTuple):
-    replica: int
-    terminal: int
-    max_state: int
-
 
 @dataclass
 class LocalTimeSamples:
@@ -90,9 +83,6 @@ class LocalTimeSamples:
     def replicas(self) -> int:
         return self.counts.shape[0]
 
-    def counts_for(self, y: int) -> np.ndarray:
-        return self.counts[:, self.targets.index(y)]
-
     def to_csv(self) -> str:
         """Rows ``replica,y,count``, replica-major, targets in given order."""
         lines = ["replica,y,count"]
@@ -103,8 +93,8 @@ class LocalTimeSamples:
 
     def summary(self, scale: float = 1.0) -> dict:
         """Moments and a unit-width histogram of count/scale per target."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {scale!r}")
         out: dict = {
             "replicas": self.replicas,
             "horizon": self.horizon,
@@ -139,35 +129,37 @@ def _replica_rng(seed: int, r: int) -> np.random.Generator:
 def _row_cdf(alpha: float, mu_items: tuple, x: int) -> tuple:
     """Sampling CDF of the kernel row at x over offsets -smax..+smax.
 
-    Entry j is the cumulative mass of states x - smax + j; the final
-    entry is forced to 1.0 so a uniform draw always lands.  Offsets that
-    fall outside the row (negative states, parity gaps) carry no new
-    mass and can never be selected.  The unit step's row is the closed
-    form (p, p, 1.0) with down-probability p = x / (2x + 2 alpha + 1).
+    The row holds 2 smax cut points: entry j is the cumulative mass of
+    states x - smax .. x - smax + j.  A uniform u moves the walker by
+    (number of entries <= u) - smax, so past the last cut it lands on
+    x + smax.  Offsets that fall outside the row (negative states,
+    parity gaps) carry no new mass and can never be selected.  The unit
+    step's row is the closed form (p, p) with down-probability
+    p = x / (2x + 2 alpha + 1).
     """
     kernel = GegenbauerKernel(HypergroupIndex(alpha), SparseMeasure(dict(mu_items)))
     if kernel.is_unit_step:
         p = x / (2.0 * x + (2.0 * alpha + 1.0)) if x > 0 else 0.0
-        return (p, p, 1.0)
+        return (p, p)
     row = kernel_row(kernel, x)
     smax = kernel.step_measure.max_state
     run = 0.0
     cdf = []
-    for d in range(-smax, smax + 1):
+    for d in range(-smax, smax):
         if x + d >= 0:
             run += row[x + d]
         cdf.append(run)
-    cdf[-1] = 1.0
     return tuple(cdf)
 
 
-def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dict]:
+def simulate_replica(config: WalkConfig, replica: int) -> tuple[int, dict]:
     """Scalar reference simulation of one replica.
 
     Walks step by step, sampling each transition by inverse CDF on the
     `_row_cdf` row of the current state (rows held in a bounded
     read-through cache); the unit step's closed-form row takes the same
     path.  One uniform is consumed per step, including forced moves.
+    Returns the terminal state and the visit count of each target.
     """
     if not 0 <= replica < config.replicas:
         raise ValueError("replica index out of range")
@@ -178,28 +170,24 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[PathSummary, dic
     targets = config.target_states
 
     s = config.start
-    smax_seen = s
     counts = {y: 0 for y in targets}
     if s in counts:
         counts[s] += 1  # the k = 0 visit
     for _ in range(config.horizon):
         u = rng.random()
         s += bisect_right(_row_cdf(a, mu_items, s), u) - smax
-        if s > smax_seen:
-            smax_seen = s
         if s in counts:
             counts[s] += 1
-    return PathSummary(replica, s, smax_seen), counts
+    return s, counts
 
 
 class _RowTable:
     """Sampling-CDF table over states lo, lo + 1, ..., stored by column.
 
     `cols[j][x - lo]` is entry j of `_row_cdf(x)`, the same doubles the
-    scalar path reads.  Each row's forced final 1.0 is not stored: no
-    uniform in [0, 1) reaches it.  A walk of `horizon` steps from
-    `start` never goes below lo = max(0, start - horizon * smax), so no
-    row under lo is built; the top grows on demand.
+    scalar path reads.  A walk of `horizon` steps from `start` never
+    goes below lo = max(0, start - horizon * smax), so no row under lo
+    is built; the top grows on demand.
     """
 
     def __init__(self, config: WalkConfig):
@@ -220,7 +208,7 @@ class _RowTable:
         new = np.empty((2 * self.smax, needed + 1 - self.lo))
         new[:, :old] = self.cols
         for i in range(old, new.shape[1]):
-            new[:, i] = _row_cdf(self.alpha, self.mu_items, self.lo + i)[:-1]
+            new[:, i] = _row_cdf(self.alpha, self.mu_items, self.lo + i)
         self.cols = new
 
     def ensure(self, max_state: int) -> None:
@@ -247,8 +235,8 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     table = _RowTable(config)
     smax = table.smax
 
-    chunk = min(_CHUNK, horizon) if horizon else 0
-    U = np.empty((B, chunk)) if chunk else None
+    chunk = min(_CHUNK, horizon)
+    U = np.empty((B, chunk))
     done = 0
     while done < horizon:
         T = min(chunk, horizon - done)
@@ -271,8 +259,8 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
 def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSamples:
     """Visit counts at the target states for every replica.
 
-    Replicas run in fixed blocks of 4096; blocks may run on a thread
-    pool but write disjoint slices of the result, so the output is
+    Replicas run in fixed blocks of 4096 on a pool of `threads` workers;
+    blocks write disjoint slices of the result, so the output is
     bit-identical for any `threads`.
     """
     if threads < 1:
@@ -289,45 +277,10 @@ def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSampl
         counts[r0:r1] = c
         terminal[r0:r1] = term
 
-    if threads == 1 or len(blocks) == 1:
-        for span in blocks:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, blocks))
 
     return LocalTimeSamples(
         config.target_states, counts, terminal, config.horizon, config.seed
     )
 
-
-def mean_visits_curve(
-    config: WalkConfig,
-    checkpoints: Sequence[int],
-    *,
-    threads: int = 1,
-) -> list[tuple[int, dict[int, float]]]:
-    """Empirical mean of N_n(y) at several horizons n, one run per horizon.
-
-    Replica r draws from the same Philox stream in every run, so the
-    counts at n equal those of a longer run at its step n.  Checkpoints
-    must be ascending and within the configured horizon.  Returns rows
-    (n, {y: mean over replicas}).
-    """
-    cps = [int(n) for n in checkpoints]
-    if not cps:
-        raise ValueError("need at least one checkpoint")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly ascending")
-    if cps[0] < 0 or cps[-1] > config.horizon:
-        raise ValueError("checkpoints must lie in [0, horizon]")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-    R = config.replicas
-    rows = []
-    for n in cps:
-        run = local_time_counts(replace(config, horizon=n), threads=threads)
-        means = run.counts.sum(axis=0) / R
-        rows.append((n, {y: means[j] for j, y in enumerate(config.target_states)}))
-    return rows

@@ -192,6 +192,12 @@ class TestLocaltime:
                          "--scale", "10")
         assert json.loads(out)["scale"] == 10.0 and rc == 0
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale_is_exit_2(self, capsys, scale):
+        rc, out, err = run(capsys, *self.ARGS, "--format", "json",
+                           "--scale", scale)
+        assert rc == 2 and out == "" and "scale" in err
+
 
 class TestStateCap:
     # each size is refused before any iteration, so these run at once
@@ -284,6 +290,19 @@ class TestVerifyLt:
         assert doc["params"]["ks_threshold"] == 0.08
         assert rc in (0, 1)
 
+    # each value is refused before any simulation, so these run at once
+    @pytest.mark.parametrize("flag,value", [
+        ("--ks-threshold", "nan"), ("--ks-threshold", "inf"),
+        ("--ks-threshold", "0"), ("--ks-threshold", "-1"),
+        ("--moment-floor", "nan"), ("--moment-floor", "-0.1"),
+        ("--moments", "-1"),
+    ])
+    def test_bad_gate_flag_is_exit_2(self, capsys, flag, value):
+        rc, out, err = run(capsys, "verify-lt", "--alpha", "-0.5", "--mu", "1:1",
+                           "--y", "0", "--n", "100", "--replicas", "200",
+                           "--seed", "1", flag, value)
+        assert rc == 2 and out == "" and err.startswith("gegwalk: ")
+
 
 class TestSpecfun:
     def test_ml_moment_ten_digits(self, capsys):
@@ -309,6 +328,11 @@ class TestSpecfun:
         rc, out, err = run(capsys, "specfun", "ml-density", "--order", "0.25",
                            "--x", "nan")
         assert rc == 2 and out == "" and "finite" in err
+
+    def test_ml_function_nonconvergence_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "specfun", "ml-function", "--order", "0.1",
+                           "--x", "3")
+        assert rc == 2 and out == "" and "did not converge" in err
 
     def test_ml_sample_deterministic(self, capsys):
         args = ("specfun", "ml-sample", "--order", "0.5", "--size", "4",

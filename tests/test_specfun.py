@@ -62,8 +62,6 @@ class TestGamma:
     def test_poles_raise(self, x):
         with pytest.raises(ValueError):
             sf.gamma_fn(x)
-        with pytest.raises(ValueError):
-            sf.log_gamma_fn(x)
 
     def test_negative_noninteger(self):
         # reflection: Gamma(-1/2) = -2 sqrt(pi)
@@ -71,12 +69,6 @@ class TestGamma:
 
     def test_overflow_returns_inf(self):
         assert sf.gamma_fn(200.0) == math.inf
-
-    def test_log_companion(self):
-        for x in (0.3, 1.0, 20.0, 150.0):
-            assert math.exp(sf.log_gamma_fn(x)) == pytest.approx(
-                math.gamma(x) if x < 170 else math.inf, rel=1e-12
-            )
 
     @given(st.floats(min_value=0.05, max_value=80.0))
     def test_recurrence(self, x):
@@ -156,24 +148,24 @@ class TestBesselI:
 class TestMLFunction:
     @pytest.mark.parametrize("order", [0.1, 0.5, 1.0])
     def test_at_zero(self, order):
-        assert sf.ml_function(order, 0.0) == (1.0, True)
+        assert sf.ml_function(order, 0.0) == 1.0
 
     def test_order_one_is_exp(self):
         worst = max(
-            abs(sf.ml_function(1.0, x).value - math.exp(-x))
+            abs(sf.ml_function(1.0, x) - math.exp(-x))
             for x in np.linspace(0.0, 10.0, 201)
         )
         assert worst <= 1e-12
 
     def test_half_order_erfc_identity(self):
         # E_{1/2}(x) = e^{x^2} erfc(x) at x = 1
-        val, ok = sf.ml_function(0.5, 1.0)
-        assert ok
+        val = sf.ml_function(0.5, 1.0)
         assert val == pytest.approx(math.e * orc.erfc_quad(1.0), abs=1e-9)
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_raises(self):
         # small order at moderate x needs ~x^(1/order) terms, past the cap
-        assert sf.ml_function(0.25, 10.0).ok is False
+        with pytest.raises(ArithmeticError):
+            sf.ml_function(0.25, 10.0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -186,9 +178,11 @@ class TestMLFunction:
     @given(st.floats(min_value=0.3, max_value=1.0), st.floats(min_value=0.0, max_value=8.0))
     @settings(max_examples=40, deadline=None)
     def test_contained_in_unit_interval(self, order, x):
-        val, ok = sf.ml_function(order, x)
-        if ok:
-            assert 0.0 < val <= 1.0
+        try:
+            val = sf.ml_function(order, x)
+        except ArithmeticError:  # past the term cap
+            return
+        assert 0.0 < val <= 1.0
 
 
 class TestMLDensity:
@@ -394,4 +388,4 @@ class TestMittagLefflerDist:
             epsabs=1e-9,
             limit=200,
         )
-        assert val == pytest.approx(sf.ml_function(order, s).value, abs=1e-6)
+        assert val == pytest.approx(sf.ml_function(order, s), abs=1e-6)
