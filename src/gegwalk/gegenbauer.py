@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -53,6 +53,29 @@ class HypergroupIndex:
         return self.alpha + 0.5
 
 
+def _recurrence(
+    a: float, smax: int, v: np.ndarray, times_x: Callable[[float, np.ndarray], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Yield P_0 v, P_1 v, ..., P_smax v by the upward recurrence.
+
+    ``times_x(c, u)`` returns c x u as a new array at least as long as u:
+    x acts pointwise in value space and as the Jacobi operator in
+    coefficient space.  P_1 v = times_x(1.0, v) exactly, and P_{s-1} v
+    enters the later steps zero-padded to the length of x P_s v.
+    """
+    yield v
+    if smax == 0:
+        return
+    prev, cur = v, times_x(1.0, v)
+    yield cur
+    for s in range(1, smax):
+        nxt = times_x(2 * s + 2 * a + 1, cur)
+        nxt[: prev.size] -= s * prev
+        nxt /= s + 2 * a + 1
+        prev, cur = cur, nxt
+        yield cur
+
+
 def eval_poly(idx: HypergroupIndex, n: int, x: float) -> float:
     """P_n^(alpha)(x) for |x| <= 1: one point of eval_poly_table.
 
@@ -69,24 +92,18 @@ def eval_poly(idx: HypergroupIndex, n: int, x: float) -> float:
 def eval_poly_table(idx: HypergroupIndex, nmax: int, xs: np.ndarray) -> np.ndarray:
     """All degrees 0..nmax at once on an array of points.
 
-    Returns an array of shape (nmax+1, len(xs)); row n is P_n at xs.
-    This is the value-space copy of the three-term recurrence; the
-    coefficient-space copy is _poly_apply.
+    Returns an array of shape (nmax+1, len(xs)); row n is P_n at xs,
+    built by _recurrence in value space, where x acts pointwise.
     """
     if nmax < 0:
         raise ValueError("eval_poly_table: nmax must be >= 0")
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < -1.0 or xs.max() > 1.0):
         raise ValueError("eval_poly_table: points must lie in [-1, 1]")
-    a = idx.alpha
     table = np.empty((nmax + 1, xs.size))
-    table[0] = 1.0
-    if nmax >= 1:
-        table[1] = xs
-    for k in range(1, nmax):
-        table[k + 1] = ((2 * k + 2 * a + 1) * xs * table[k] - k * table[k - 1]) / (
-            k + 2 * a + 1
-        )
+    rows = _recurrence(idx.alpha, nmax, np.ones(xs.size), lambda c, u: c * xs * u)
+    for k, row in enumerate(rows):
+        table[k] = row
     return table
 
 
@@ -170,8 +187,8 @@ def _poly_apply(a: float, weights: list[tuple[int, float]], v: np.ndarray) -> np
 
     J is multiplication by x in that basis: column j feeds j/(2j+2a+1)
     into j-1 and (j+2a+1)/(2j+2a+1) into j+1; column 0 feeds 1 into
-    index 1 (the a = -1/2 limit of the same ratio).  The three-term
-    recurrence in s then builds P_s(J) v, so the cost is
+    index 1 (the a = -1/2 limit of the same ratio).  _recurrence in
+    coefficient space then builds P_s(J) v, so the cost is
     O(smax * len(v)) however many pairs there are.  The result has
     length len(v) + smax.
     """
@@ -180,31 +197,20 @@ def _poly_apply(a: float, weights: list[tuple[int, float]], v: np.ndarray) -> np
     denom = 2 * j + 2 * a + 1
     down, up = j / denom, (j + 2 * a + 1) / denom
 
-    def jacobi(u: np.ndarray) -> np.ndarray:  # J u, one entry longer than u
-        out = np.zeros(u.size + 1)
-        out[:-2] += u[1:] * down[: u.size - 1]
-        out[2:] += u[1:] * up[: u.size - 1]
-        out[1] += u[0]
-        return out
+    def times_x(c: float, u: np.ndarray) -> np.ndarray:  # c J u, one entry longer than u
+        ju = np.zeros(u.size + 1)
+        ju[:-2] += u[1:] * down[: u.size - 1]
+        ju[2:] += u[1:] * up[: u.size - 1]
+        ju[1] += u[0]
+        ju *= c
+        return ju
 
     out = np.zeros(v.size + smax)
     lookup = dict(weights)
-    if 0 in lookup:
-        out[: v.size] += lookup[0] * v
-    if smax == 0:
-        return out
-    v_prev = v
-    v_cur = jacobi(v)
-    if 1 in lookup:
-        out[: v_cur.size] += lookup[1] * v_cur
-    for s in range(1, smax):
-        v_next = (
-            (2 * s + 2 * a + 1) * jacobi(v_cur) - s * np.concatenate((v_prev, np.zeros(2)))
-        ) / (s + 2 * a + 1)
-        v_prev, v_cur = v_cur, v_next
-        w = lookup.get(s + 1)
+    for s, p in enumerate(_recurrence(a, smax, v, times_x)):
+        w = lookup.get(s)
         if w:
-            out[: v_cur.size] += w * v_cur
+            out[: p.size] += w * p
     return out
 
 

@@ -20,8 +20,10 @@ All functions are pure; samplers take a caller-owned ``numpy.random.Generator``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from mpmath import mp, mpf
@@ -151,55 +153,72 @@ def bessel_i(order: float, x: float) -> float:
     return _bessel_series_f64(order, x, 1.0)
 
 
-def ml_function(order: float, x: float) -> float:
-    """Mittag-Leffler function E_order(x) = sum (-x)^p / Gamma(order*p+1).
+def _certified_sum(
+    name: str, order: float, x: float, start: int, terms: Callable, divisor=1
+) -> float:
+    """start + sum of terms(mpf(x)), divided by ``divisor``, certified in float64.
 
-    The alternating series cancels heavily for large x, so it is summed at
-    a working precision chosen from an a-posteriori cancellation estimate
-    and escalated until the float64 result is certified.  For small
-    ``order`` and moderate x the 500-term cap can be reached first, and
-    an ArithmeticError is raised, as ml_density raises (order 1/4 at
-    x = 3, order 0.1 at x = 2).
+    ``terms`` yields the series terms at the working precision, or None
+    for a term that vanishes exactly; a None is skipped and leaves the
+    run of quiet terms as it stands.  The series is cut after three
+    consecutive terms below 10^-dps of the running sum, at most 500 terms
+    in all, or ArithmeticError is raised.  The digits lost to
+    cancellation are estimated from the largest term against the divided
+    sum; unless 14 digits remain, the sum is redone at dps + lost + 10.
     """
-    if not 0.0 < order <= 1.0:
-        raise ValueError("ml_function: order must lie in (0, 1]")
-    if x < 0.0:
-        raise ValueError("ml_function: x must be >= 0")
-    if x == 0.0:
-        return 1.0
     dps = 20
     while True:
         with mp.workdps(dps):
-            xm = mpf(x)
-            s = mpf(1)
-            peak = mpf(1)
-            xpow = mpf(1)
+            s = mpf(start)
+            peak = abs(s)
             quiet = 0
-            converged = False
             tiny = mpf(10) ** (-dps)
-            for p in range(1, _TERM_CAP + 1):
-                xpow *= -xm
-                t = xpow / mp.gamma(mpf(order) * p + 1)
+            for t in itertools.islice(terms(mpf(x)), _TERM_CAP):
+                if t is None:
+                    continue
                 s += t
-                if abs(t) > peak:
-                    peak = abs(t)
+                peak = max(peak, abs(t))
                 if abs(t) < tiny * max(abs(s), tiny):
                     quiet += 1
                     if quiet >= _QUIET_RUN:
-                        converged = True
                         break
                 else:
                     quiet = 0
-            if not converged:
+            else:
                 raise ArithmeticError(
-                    f"ml_function: series did not converge within {_TERM_CAP} terms "
+                    f"{name}: series did not converge within {_TERM_CAP} terms "
                     f"(order={order:g}, x={x:g})"
                 )
-            # digits lost to cancellation
+            s /= divisor
             lost = float(mp.log10(peak / abs(s))) if s != 0 else float(dps)
         if lost + 14.0 < dps:
             return float(s)
         dps = int(dps + lost + 10.0)
+
+
+def ml_function(order: float, x: float) -> float:
+    """Mittag-Leffler function E_order(x) = sum (-x)^p / Gamma(order*p+1).
+
+    The alternating series cancels heavily for large x, so it is summed
+    by _certified_sum.  For small ``order`` and moderate x the 500-term
+    cap can be reached first, and an ArithmeticError is raised, as
+    ml_density raises (order 1/4 at x = 3, order 0.1 at x = 2).
+    Non-finite x raises ValueError.
+    """
+    if not 0.0 < order <= 1.0:
+        raise ValueError("ml_function: order must lie in (0, 1]")
+    if not math.isfinite(x):
+        raise ValueError(f"ml_function: x must be finite, got {x!r}")
+    if x < 0.0:
+        raise ValueError("ml_function: x must be >= 0")
+
+    def terms(xm):
+        xpow = mpf(1)
+        for p in itertools.count(1):
+            xpow *= -xm
+            yield xpow / mp.gamma(mpf(order) * p + 1)
+
+    return _certified_sum("ml_function", order, x, 1, terms)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -223,9 +242,10 @@ def ml_density(order: float, x: float) -> float:
     """Density of the Mittag-Leffler distribution of given order in (0, 1).
 
     Power series (1/pi) * sum_{k>=1} (-1)^{k-1}/(k-1)! sin(pi k order)
-    Gamma(k order) x^{k-1}; terms with sin(pi k order) = 0 are skipped
-    exactly.  At x = 0 the continuity value sin(pi order) Gamma(order)/pi
-    is returned.  order = 1 is the point mass at 1 and has no density.
+    Gamma(k order) x^{k-1}, summed by _certified_sum; terms with
+    sin(pi k order) = 0 are skipped exactly.  At x = 0 the continuity
+    value sin(pi order) Gamma(order)/pi is returned.  order = 1 is the
+    point mass at 1 and has no density.
 
     The term ratio scales like x * k^(order-1), so the tail of the series
     outlives the 500-term cap once x is large enough and an
@@ -235,11 +255,8 @@ def ml_density(order: float, x: float) -> float:
     1/2, cutoff 12; at x = 20 at order 0.4, cutoff 16).  Non-finite x
     raises ValueError.
 
-    The x-free factors (-1)^(k-1) sin(pi k order) Gamma(k order) and
-    (k-1)! are cached per (order, term, binary precision), so a grid of
-    x at one order pays for them once per working precision; each term
-    is still c * x^(k-1) / (k-1)! in the same mpmath operations, so the
-    results are unchanged bit for bit.
+    The x-free factors of each term are cached by _density_factor, so a
+    grid of x at one order pays for them once per working precision.
     """
     if not 0.0 < order < 1.0:
         if order == 1.0:
@@ -254,41 +271,13 @@ def ml_density(order: float, x: float) -> float:
         raise ValueError("ml_density: x must be >= 0")
     if x == 0.0:
         return math.sin(math.pi * order) * math.gamma(order) / math.pi
-    dps = 20
-    while True:
-        with mp.workdps(dps):
-            xm = mpf(x)
-            s = mpf(0)
-            peak = mpf(0)
-            quiet = 0
-            converged = False
-            tiny = mpf(10) ** (-dps)
-            for k in range(1, _TERM_CAP + 1):
-                factor = _density_factor(order, k, mp.prec)
-                if factor is None:
-                    continue
-                c, f = factor
-                t = c * xm ** (k - 1) / f
-                s += t
-                if abs(t) > peak:
-                    peak = abs(t)
-                if abs(t) < tiny * max(abs(s), tiny):
-                    quiet += 1
-                    if quiet >= _QUIET_RUN:
-                        converged = True
-                        break
-                else:
-                    quiet = 0
-            if not converged:
-                raise ArithmeticError(
-                    f"ml_density: series did not converge within {_TERM_CAP} terms "
-                    f"(order={order:g}, x={x:g})"
-                )
-            s /= mp.pi
-            lost = float(mp.log10(peak / abs(s))) if s != 0 else float(dps)
-        if lost + 14.0 < dps:
-            return float(s)
-        dps = int(dps + lost + 10.0)
+
+    def terms(xm):
+        for k in itertools.count(1):
+            factor = _density_factor(order, k, mp.prec)
+            yield None if factor is None else factor[0] * xm ** (k - 1) / factor[1]
+
+    return _certified_sum("ml_density", order, x, 0, terms, mp.pi)
 
 
 def ml_moment(order: float, p: int) -> float:
@@ -366,9 +355,10 @@ def _density_cutoff(order: float) -> float:
 class MittagLefflerDist:
     """Mittag-Leffler distribution of a given order in (0, 1].
 
-    Nonnegative law with moments p!/Gamma(order*p+1).  order = 1 is the
-    point mass at 1, kept as an explicit variant so cdf_grid, moments and
-    sampling stay total; only ``density`` is undefined there.
+    Nonnegative law with moments p!/Gamma(order*p+1); ml_sample draws
+    from it.  order = 1 is the point mass at 1, kept as an explicit
+    variant so cdf_grid and moments stay total; only ``density`` is
+    undefined there.
     """
 
     order: float
@@ -386,9 +376,6 @@ class MittagLefflerDist:
 
     def density(self, x: float) -> float:
         return ml_density(self.order, x)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        return ml_sample(self.order, rng, size)
 
     def cdf_grid(self, xs: np.ndarray, npoints: int = 4097) -> np.ndarray:
         """CDF at many points via one dense cumulative integral.

@@ -245,6 +245,7 @@ class TestVerifyLlt:
         rc, _, err = run(capsys, "verify-llt", "--alpha", "-0.25",
                          "--mu", "2:1", "--x", "0", "--y", "0", "--n", "8,16")
         assert rc == 2 and "even" in err
+        assert "both an odd and an even state" in err and "--mu 1:1" in err
 
     def test_bad_n_list(self, capsys):
         rc, _, _ = run(capsys, "verify-llt", "--alpha", "-0.25",
@@ -278,6 +279,14 @@ class TestVerifyLt:
                          "--y", "0", "--n", "100", "--replicas", "200",
                          "--seed", "1")
         assert rc == 2 and "transient" in err
+
+    def test_one_parity_step_is_exit_2(self, capsys):
+        # refused before any simulation, with the remedy in command-line terms
+        rc, out, err = run(capsys, "verify-lt", "--alpha", "-0.25",
+                           "--mu", "1:0.5,3:0.5", "--y", "0", "--n", "100",
+                           "--replicas", "200", "--seed", "1")
+        assert rc == 2 and out == "" and "odd" in err
+        assert "both an odd and an even state" in err and "--mu 1:1" in err
 
     def test_gate_flags_forwarded(self, capsys):
         rc, out, _ = run(capsys, "verify-lt", "--alpha", "-0.5", "--mu", "1:1",
@@ -326,6 +335,11 @@ class TestSpecfun:
 
     def test_ml_density_nan_x_is_exit_2(self, capsys):
         rc, out, err = run(capsys, "specfun", "ml-density", "--order", "0.25",
+                           "--x", "nan")
+        assert rc == 2 and out == "" and "finite" in err
+
+    def test_ml_function_nan_x_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "specfun", "ml-function", "--order", "0.5",
                            "--x", "nan")
         assert rc == 2 and out == "" and "finite" in err
 

@@ -1,5 +1,6 @@
 """Tests for polynomial evaluation, weights, and linearization rows."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from gegwalk.gegenbauer import (
     orthogonality_integral,
     weight,
 )
+from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step
 
 import _oracles as orc
 
@@ -217,3 +219,39 @@ class TestLinearization:
         assert row.support == (0, 4)
         with pytest.raises(TypeError):
             row.coeffs[0] = 0.9  # frozen mapping
+
+
+# SHA-256 pins of the three-term recurrence in value space (eval_poly_table)
+# and coefficient space (linearization rows, n-step laws): any change to the
+# order of its floating-point operations changes these digests.
+POLY_TABLE_SHA256 = "273d5610ce2d4b9c54437f6b811912f1a9e002018470b47441de84f201a15632"
+LINEARIZATION_SHA256 = "cb815c3d66ae308fb768dc6e4233d1968b5145c926d1d043b2ca714a931d2515"
+N_STEP_SHA256 = "4d5def64d83f3c8fbd2b54e2b887cc6312c73169f9c3e5b069e9d52c9a693804"
+
+
+class TestRecurrenceBits:
+    def test_poly_table_bytes(self):
+        xs = np.cos(np.linspace(0.0, np.pi, 97))
+        digest = hashlib.sha256()
+        for alpha in (-0.5, -0.25, 0.0, 0.5):
+            digest.update(eval_poly_table(HypergroupIndex(alpha), 250, xs).tobytes())
+        assert digest.hexdigest() == POLY_TABLE_SHA256
+
+    def test_linearization_bytes(self):
+        digest = hashlib.sha256()
+        for alpha in (-0.5, -0.25, 0.5):
+            idx = HypergroupIndex(alpha)
+            for m in range(13):
+                for n in range(m, 41, 3):
+                    for k, c in linearization(idx, m, n).coeffs.items():
+                        digest.update(np.array([k, c]).tobytes())
+        assert digest.hexdigest() == LINEARIZATION_SHA256
+
+    def test_n_step_bytes(self):
+        # unit step, mixed step and a three-atom step, 60 steps from x = 3
+        digest = hashlib.sha256()
+        idx = HypergroupIndex(-0.25)
+        for mu in ({1: 1.0}, {1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.5, 5: 0.25}):
+            law = n_step(GegenbauerKernel(idx, SparseMeasure(mu)), 3, 60)
+            digest.update(law.as_array().tobytes())
+        assert digest.hexdigest() == N_STEP_SHA256

@@ -174,6 +174,9 @@ class TestMLFunction:
             sf.ml_function(1.5, 1.0)
         with pytest.raises(ValueError):
             sf.ml_function(0.5, -1.0)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sf.ml_function(0.5, x)
 
     @given(st.floats(min_value=0.3, max_value=1.0), st.floats(min_value=0.0, max_value=8.0))
     @settings(max_examples=40, deadline=None)
@@ -338,7 +341,7 @@ class TestMittagLefflerDist:
         assert d.is_point_mass
         assert d.moment(5) == pytest.approx(1.0)
         rng = np.random.default_rng(1)
-        assert d.sample(rng) == 1.0
+        assert sf.ml_sample(d.order, rng) == 1.0
         np.testing.assert_array_equal(d.cdf_grid(np.array([0.5, 2.0])), [0.0, 1.0])
         with pytest.raises(ValueError):
             d.density(1.0)
