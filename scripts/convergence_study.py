@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Ratio of exact return probabilities to the power-law asymptote.
+"""Ratio of exact return probabilities to the local limit theorem.
 
 Sweeps several polynomial indices at once and emits long-format CSV
 (alpha, n, probability, prediction, ratio) on stdout, one row per
-horizon, for external plotting.  The asymptote is
-w_0 Gamma(a+1) / (2 (C n)^(a+1)) with C from drift_constant.
+horizon, for external plotting.  For an aperiodic step the asymptote is
+w_0 Gamma(a+1) / (2 (C n)^(a+1)) with C from drift_constant; for the
+unit step (--mu 1:1) it is the parity-refined w_0 2^(a+1) Gamma(a+1)
+n^-(a+1), which applies at the even horizons swept here.
 
 Example:
     python3 scripts/convergence_study.py --alphas -0.5,-0.25,0,0.5 \
@@ -16,7 +18,7 @@ import sys
 
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
-from gegwalk.verify import check_llt_aperiodic
+from gegwalk.verify import check_llt
 
 
 def main() -> int:
@@ -25,7 +27,7 @@ def main() -> int:
                     help="comma-separated polynomial indices")
     ap.add_argument("--mu", default="1:0.5,2:0.5",
                     help="step measure: state:mass,... or a CSV/JSON file "
-                         "(must be aperiodic)")
+                         "(aperiodic, or the unit step 1:1)")
     ap.add_argument("--kmax", type=int, default=13,
                     help="horizons are 2^6 .. 2^kmax")
     args = ap.parse_args()
@@ -36,7 +38,7 @@ def main() -> int:
     print("alpha,n,probability,prediction,ratio")
     for tok in args.alphas.split(","):
         a = float(tok)
-        rep = check_llt_aperiodic(HypergroupIndex(a), mu, 0, 0, ns)
+        rep = check_llt(HypergroupIndex(a), mu, 0, 0, ns)
         for row in rep.rows:
             print(f"{a},{row.label},{row.value!r},{row.prediction!r},{row.ratio!r}")
     return 0

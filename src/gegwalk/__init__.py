@@ -49,8 +49,7 @@ from gegwalk.specfun import (
 from gegwalk.verify import (
     ReportRow,
     VerifyReport,
-    check_llt_aperiodic,
-    check_llt_periodic,
+    check_llt,
     check_local_time_limit,
     check_space_scaled_llt,
     ks_statistic,

@@ -1,11 +1,18 @@
 """Command-line front end: kernels, simulation, and limit-law checks.
 
-Every command writes CSV or JSON to stdout or ``--output``.  Monte Carlo
-commands require ``--seed``; with the seed fixed, repeat invocations
-produce byte-identical output at any thread count.  Exit codes: 0 on
-success (and on a passing verification), 1 when a verification ran and
-failed, 2 for invalid flags or values, including a special-function
-series that does not converge within its term cap.
+Each command parses its flags and calls the library; every model
+decision, such as which form of the local limit theorem applies to a
+step measure, is made there.  Commands write CSV or JSON (``specfun``:
+one number per line) to stdout or ``--output``.  Monte Carlo commands
+require ``--seed``; with the seed fixed, repeat invocations produce
+byte-identical output at any ``--threads``.
+
+Exit codes: 0 on success (and on a passing verification), 1 when a
+verification ran and failed, 2 for invalid flags or values.  `main` is
+the one error boundary: a UsageError, a StateCapError, or any
+ValueError or ArithmeticError from the library (such as a
+special-function series that does not converge within its term cap)
+becomes ``gegwalk: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -29,45 +36,14 @@ from .specfun import (
     ml_moment,
     ml_sample,
 )
-from .verify import (check_llt_aperiodic, check_llt_periodic,
-                     check_local_time_limit, local_time_scale)
+from .verify import check_llt, check_local_time_limit, local_time_scale
 from .walk_sim import WalkConfig, local_time_counts
 
 import numpy as np
 
-_THREADS_ENV = "GEGWALK_THREADS"
-
 
 class UsageError(Exception):
     """Bad flag value or combination; reported on stderr, exit code 2."""
-
-
-def _default_threads() -> int:
-    env = os.environ.get(_THREADS_ENV)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"{_THREADS_ENV} must be an integer, got {env!r}")
-        if n < 1:
-            raise UsageError(f"{_THREADS_ENV} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        return args.threads
-    return _default_threads()
-
-
-def _parse_index(alpha: float) -> HypergroupIndex:
-    try:
-        return HypergroupIndex(alpha)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _parse_mu(spec: str) -> SparseMeasure:
@@ -98,27 +74,16 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _make_config(args, targets) -> WalkConfig:
-    idx = _parse_index(args.alpha)
-    mu = _parse_mu(args.mu)
-    try:
-        return WalkConfig(
-            idx, mu, args.x, args.n, args.replicas, tuple(targets), args.seed
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    return WalkConfig(HypergroupIndex(args.alpha), _parse_mu(args.mu), args.x,
+                      args.n, args.replicas, tuple(targets), args.seed)
 
 
 # -- commands --------------------------------------------------------
 
 
 def cmd_kernel(args) -> int:
-    idx = _parse_index(args.alpha)
-    mu = _parse_mu(args.mu)
-    kernel = GegenbauerKernel(idx, mu)
-    try:
-        law = n_step(kernel, args.x, args.n)
-    except ValueError as e:
-        raise UsageError(str(e))
+    kernel = GegenbauerKernel(HypergroupIndex(args.alpha), _parse_mu(args.mu))
+    law = n_step(kernel, args.x, args.n)
     if args.format == "json":
         _emit(law.to_json(alpha=args.alpha) + "\n", args.output)
     else:
@@ -130,7 +95,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _make_config(args, (0,))
-    lt = local_time_counts(cfg, threads=_resolve_threads(args))
+    lt = local_time_counts(cfg, threads=args.threads)
     if args.format == "json":
         doc = {
             "alpha": args.alpha,
@@ -152,15 +117,12 @@ def cmd_simulate(args) -> int:
 def cmd_localtime(args) -> int:
     targets = _parse_n_list(args.y)
     cfg = _make_config(args, targets)
-    lt = local_time_counts(cfg, threads=_resolve_threads(args))
+    lt = local_time_counts(cfg, threads=args.threads)
     if args.format == "json":
         scale = args.scale if args.scale is not None else local_time_scale(
             args.alpha, args.n
         )
-        try:
-            _emit(lt.summary_json(scale) + "\n", args.output)
-        except ValueError as e:
-            raise UsageError(str(e))
+        _emit(lt.summary_json(scale) + "\n", args.output)
     else:
         _emit(lt.to_csv(), args.output)
     return 0
@@ -176,94 +138,72 @@ def _emit_report(rep, args) -> int:
 
 
 def cmd_verify_llt(args) -> int:
-    idx = _parse_index(args.alpha)
-    mu = _parse_mu(args.mu)
-    ns = _parse_n_list(args.n)
-    try:
-        if GegenbauerKernel(idx, mu).is_unit_step:
-            rep = check_llt_periodic(idx, args.x, args.y, ns)
-        else:
-            rep = check_llt_aperiodic(idx, mu, args.x, args.y, ns)
-    except ValueError as e:
-        raise UsageError(str(e))
+    rep = check_llt(HypergroupIndex(args.alpha), _parse_mu(args.mu), args.x,
+                    args.y, _parse_n_list(args.n))
     return _emit_report(rep, args)
 
 
 def cmd_verify_lt(args) -> int:
-    idx = _parse_index(args.alpha)
-    mu = _parse_mu(args.mu)
-    try:
-        rep = check_local_time_limit(
-            idx,
-            mu,
-            args.x,
-            args.y,
-            args.n,
-            args.replicas,
-            args.seed,
-            threads=_resolve_threads(args),
-            n_moments=args.moments,
-            moment_floor=args.moment_floor,
-            ks_threshold=args.ks_threshold,
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    rep = check_local_time_limit(
+        HypergroupIndex(args.alpha),
+        _parse_mu(args.mu),
+        args.x,
+        args.y,
+        args.n,
+        args.replicas,
+        args.seed,
+        threads=args.threads,
+        n_moments=args.moments,
+        moment_floor=args.moment_floor,
+        ks_threshold=args.ks_threshold,
+    )
     return _emit_report(rep, args)
 
 
+def _ml_draws(order: float, size: int, seed: int) -> np.ndarray:
+    return ml_sample(order, np.random.Generator(np.random.Philox(key=[seed, 0])), size)
+
+
+# op -> (function, the flags it requires, in argument order)
+_SPECFUN = {
+    "ml-moment": (ml_moment, ("order", "p")),
+    "ml-density": (ml_density, ("order", "x")),
+    "ml-function": (ml_function, ("order", "x")),
+    "ml-sample": (_ml_draws, ("order", "size", "seed")),
+    "bessel-i": (bessel_i, ("order", "x")),
+    "bessel-j": (bessel_j, ("order", "x")),
+    "bessel-marginal": (bessel_marginal_density, ("order", "x")),
+    "gamma": (gamma_fn, ("x",)),
+}
+
+
 def cmd_specfun(args) -> int:
-    full = args.full_precision
-
-    def need(**kw):
-        missing = [f"--{k.replace('_', '-')}" for k, v in kw.items() if v is None]
-        if missing:
-            raise UsageError(f"{args.op} requires {', '.join(missing)}")
-
-    try:
-        if args.op == "ml-moment":
-            need(order=args.order, p=args.p)
-            out = _fmt(ml_moment(args.order, args.p), full)
-        elif args.op == "ml-density":
-            need(order=args.order, x=args.x)
-            out = _fmt(ml_density(args.order, args.x), full)
-        elif args.op == "ml-function":
-            need(order=args.order, x=args.x)
-            out = _fmt(ml_function(args.order, args.x), full)
-        elif args.op == "ml-sample":
-            need(order=args.order, size=args.size, seed=args.seed)
-            rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
-            draws = ml_sample(args.order, rng, args.size)
-            out = "\n".join(_fmt(v, full) for v in draws)
-        elif args.op == "bessel-i":
-            need(order=args.order, x=args.x)
-            out = _fmt(bessel_i(args.order, args.x), full)
-        elif args.op == "bessel-j":
-            need(order=args.order, x=args.x)
-            out = _fmt(bessel_j(args.order, args.x), full)
-        elif args.op == "bessel-marginal":
-            need(order=args.order, x=args.x)
-            out = _fmt(bessel_marginal_density(args.order, args.x), full)
-        elif args.op == "gamma":
-            need(x=args.x)
-            out = _fmt(gamma_fn(args.x), full)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown specfun op {args.op!r}")
-    except (ValueError, ArithmeticError) as e:
-        raise UsageError(str(e))
-    _emit(out + "\n", args.output)
+    fn, flags = _SPECFUN[args.op]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise UsageError(f"{args.op} requires {', '.join(missing)}")
+    result = fn(*(getattr(args, f) for f in flags))
+    # ml-sample prints one draw per line; every other op one value
+    values = result if args.op == "ml-sample" else [result]
+    _emit("\n".join(_fmt(v, args.full_precision) for v in values) + "\n",
+          args.output)
     return 0
 
 
 # -- parser ----------------------------------------------------------
 
 
-def _add_common(sp, *, fmt_default="csv"):
-    sp.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                    help=f"output format (default {fmt_default})")
+def _add_output(sp, *, fmt_default="csv", full_precision=False):
+    """--output on every command; --format unless fmt_default is None;
+    --full-precision where numbers are printed with _fmt."""
+    if fmt_default is not None:
+        sp.add_argument("--format", choices=("csv", "json"), default=fmt_default,
+                        help=f"output format (default {fmt_default})")
     sp.add_argument("--output", metavar="PATH",
                     help="write to PATH instead of stdout")
-    sp.add_argument("--full-precision", action="store_true",
-                    help="17 significant digits instead of 10")
+    if full_precision:
+        sp.add_argument("--full-precision", action="store_true",
+                        help="17 significant digits instead of 10")
 
 
 def _add_model(sp):
@@ -278,9 +218,9 @@ def _add_mc(sp):
                     help="number of independent walks")
     sp.add_argument("--seed", type=int, required=True,
                     help="root seed (required: no silent nondeterminism)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"replica fan-out (default: {_THREADS_ENV} or "
-                         "hardware count; never changes the output)")
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="replica fan-out (default: hardware count; "
+                         "never changes the output)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(sp)
     sp.add_argument("--x", type=int, required=True, help="start state")
     sp.add_argument("--n", type=int, required=True, help="number of steps")
-    _add_common(sp)
+    _add_output(sp, full_precision=True)
     sp.set_defaults(func=cmd_kernel)
 
     sp = sub.add_parser(
@@ -316,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=int, default=0, help="start state (default 0)")
     sp.add_argument("--n", type=int, required=True, help="number of steps")
     _add_mc(sp)
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser(
@@ -336,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale", type=float, default=None,
                     help="divide counts by this in the JSON summary")
     _add_mc(sp)
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_localtime)
 
     sp = sub.add_parser(
@@ -355,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", type=int, required=True, help="target state")
     sp.add_argument("--n", required=True, metavar="LIST",
                     help="step counts, comma separated, ascending")
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_verify_llt)
 
     sp = sub.add_parser(
@@ -379,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative model-error floor per moment (default 0.02)")
     sp.add_argument("--ks-threshold", type=float, default=0.02,
                     help="maximum KS distance (default 0.02)")
-    _add_common(sp, fmt_default="json")
+    _add_output(sp, fmt_default="json")
     sp.set_defaults(func=cmd_verify_lt)
 
     sp = sub.add_parser(
@@ -390,16 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "values and samples; Bessel I/J; the Bessel-process "
                     "marginal density; Gamma.",
     )
-    sp.add_argument("op", choices=(
-        "ml-moment", "ml-density", "ml-function", "ml-sample",
-        "bessel-i", "bessel-j", "bessel-marginal", "gamma",
-    ))
+    sp.add_argument("op", choices=tuple(_SPECFUN))
     sp.add_argument("--order", type=float, help="distribution or Bessel order")
     sp.add_argument("--p", type=int, help="moment index (ml-moment)")
     sp.add_argument("--x", type=float, help="evaluation point")
     sp.add_argument("--size", type=int, help="number of draws (ml-sample)")
     sp.add_argument("--seed", type=int, help="root seed (ml-sample)")
-    _add_common(sp)
+    _add_output(sp, fmt_default=None, full_precision=True)
     sp.set_defaults(func=cmd_specfun)
 
     return p
@@ -410,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, StateCapError) as e:
+    except (UsageError, StateCapError, ValueError, ArithmeticError) as e:
         print(f"gegwalk: {e}", file=sys.stderr)
         return 2
 

@@ -91,23 +91,33 @@ def _bessel_series_f64(order: float, x: float, sign: float) -> float:
 
 def _bessel_series_mp(order: float, x: float, sign: int) -> float:
     # Loss of significance in the alternating series is about x/ln(10)
-    # digits; pad the working precision accordingly.
+    # digits; pad the working precision accordingly.  The sum's rounding
+    # error is then about 10^-dps of its largest term, so the series is
+    # cut once terms fall below that, not below 10^-dps of the (much
+    # smaller) sum.
     dps = 25 + int(0.45 * x)
     with mp.workdps(dps):
         h = mpf(x) / 2
         t = h ** mpf(order) / mp.gamma(mpf(order) + 1)
         s = t
+        peak = abs(t)
         q = sign * h * h
         quiet = 0
         for k in range(1, _TERM_CAP + 1):
             t *= q / (k * (mpf(order) + k))
             s += t
-            if abs(t) < mpf(10) ** (-dps) * abs(s):
+            peak = max(peak, abs(t))
+            if abs(t) < mpf(10) ** (-dps) * peak:
                 quiet += 1
                 if quiet >= _QUIET_RUN:
                     break
             else:
                 quiet = 0
+        else:
+            raise ArithmeticError(
+                f"bessel_j: series did not converge within {_TERM_CAP} terms "
+                f"(order={order:g}, x={x:g})"
+            )
         return float(s)
 
 
@@ -123,9 +133,11 @@ def _bessel_at_zero(order: float) -> float:
 def bessel_j(order: float, x: float) -> float:
     """Bessel function J_order(x) for order > -1, x >= 0.
 
-    Ascending series with term-ratio truncation; absolute error stays
-    below 1e-12 for x <= 50 (the series is evaluated at elevated working
-    precision once cancellation in float64 would exceed that).
+    Ascending series with term-ratio truncation, evaluated at elevated
+    working precision once cancellation in float64 would cost more than
+    1e-12 (x > 12); absolute error stays below 1e-12.  Past x of about
+    342 (a little more for larger order) the series needs more than its
+    500-term cap and ArithmeticError is raised.
     """
     if order <= -1.0:
         raise ValueError("bessel_j: order must be > -1")

@@ -193,7 +193,7 @@ def llt_prediction(idx: HypergroupIndex, C: float, y: int, n: int) -> float:
     return weight(idx, y) * gamma_fn(a + 1.0) / (2.0 * (C * n) ** (a + 1.0))
 
 
-def check_llt_aperiodic(
+def check_llt(
     idx: HypergroupIndex,
     mu: SparseMeasure,
     x: int,
@@ -202,16 +202,46 @@ def check_llt_aperiodic(
     *,
     ratio_window: tuple[float, float] = (0.95, 1.05),
 ) -> VerifyReport:
-    """Exact p^(n)(x, y) against the aperiodic power-law asymptote.
+    """Exact p^(n)(x, y) against the local limit theorem's asymptote.
 
-    The ratio at the largest n must land in `ratio_window`; earlier n
-    are reported for trend inspection only.
+    Aperiodic steps: the power law w_y Gamma(a+1) / (2 (C n)^(a+1)),
+    with the ratio at the largest n windowed and earlier n reported for
+    trend inspection only.  The unit step mu = delta_1: the
+    parity-refined form w_y 2^(a+1) Gamma(a+1) n^-(a+1) when n + x + y
+    is even, windowed at the largest such n, and an exact zero when it
+    is odd.  Any other one-parity step raises ValueError.
     """
     ns = _validate_horizons(n_list)
     kernel = GegenbauerKernel(idx, mu)
-    _require_aperiodic(kernel)
-    C = drift_constant(idx, mu)
+    if not kernel.is_unit_step:
+        _require_aperiodic(kernel)
     laws = n_step_sequence(kernel, x, ns)
+    a = idx.alpha
+    if kernel.is_unit_step:
+        even_ns = [n for n in ns if (n + x + y) % 2 == 0]
+        last_even = even_ns[-1] if even_ns else None
+        rows = []
+        for n in ns:
+            p = laws[n][y]
+            if (n + x + y) % 2 == 0:
+                pred = weight(idx, y) * 2.0 ** (a + 1.0) * gamma_fn(a + 1.0) * n ** (-(a + 1.0))
+                rows.append(_make_row(n, p, pred, ratio_window if n == last_even else None))
+            else:
+                rows.append(_make_row(n, p, 0.0, (0.0, 0.0)))
+        return VerifyReport(
+            theorem="unit-step-llt",
+            params={
+                "alpha": a,
+                "x": x,
+                "y": y,
+                "n_list": ns,
+                "ratio_window": list(ratio_window),
+            },
+            rows=rows,
+            notes={"even_rows": len(even_ns), "odd_rows": len(ns) - len(even_ns)},
+        )
+
+    C = drift_constant(idx, mu)
     rows = [
         _make_row(
             n,
@@ -224,7 +254,7 @@ def check_llt_aperiodic(
     return VerifyReport(
         theorem="aperiodic-llt",
         params={
-            "alpha": idx.alpha,
+            "alpha": a,
             "mu": mu.as_dict(),
             "x": x,
             "y": y,
@@ -234,49 +264,6 @@ def check_llt_aperiodic(
         },
         rows=rows,
         notes={"ratio_trend": _ratio_trend(rows)},
-    )
-
-
-def check_llt_periodic(
-    idx: HypergroupIndex,
-    x: int,
-    y: int,
-    n_list: Sequence[int],
-    *,
-    ratio_window: tuple[float, float] = (0.95, 1.05),
-) -> VerifyReport:
-    """Unit-step walk (mu = delta_1): parity-refined asymptote plus exact
-    parity zeros.
-
-    When n + x + y is even, p^(n)(x, y) is compared against
-    w_y 2^(a+1) Gamma(a+1) n^-(a+1); when odd, the probability is
-    checked to be exactly zero.
-    """
-    ns = _validate_horizons(n_list)
-    a = idx.alpha
-    kernel = GegenbauerKernel(idx, SparseMeasure({1: 1.0}))
-    laws = n_step_sequence(kernel, x, ns)
-    even_ns = [n for n in ns if (n + x + y) % 2 == 0]
-    last_even = even_ns[-1] if even_ns else None
-    rows = []
-    for n in ns:
-        p = laws[n][y]
-        if (n + x + y) % 2 == 0:
-            pred = weight(idx, y) * 2.0 ** (a + 1.0) * gamma_fn(a + 1.0) * n ** (-(a + 1.0))
-            rows.append(_make_row(n, p, pred, ratio_window if n == last_even else None))
-        else:
-            rows.append(_make_row(n, p, 0.0, (0.0, 0.0)))
-    return VerifyReport(
-        theorem="unit-step-llt",
-        params={
-            "alpha": a,
-            "x": x,
-            "y": y,
-            "n_list": ns,
-            "ratio_window": list(ratio_window),
-        },
-        rows=rows,
-        notes={"even_rows": len(even_ns), "odd_rows": len(ns) - len(even_ns)},
     )
 
 
@@ -512,17 +499,16 @@ def ks_statistic(samples: Sequence[float], cdf: Callable) -> float:
     exact when the reference shares the empirical atoms (a step
     reference matching constant samples scores ~0), and within
     1/#samples of the full supremum for a continuous reference, which
-    is far below every tolerance used here.
+    is far below every tolerance used here.  `cdf` is vectorised: it is
+    called once, on the sorted samples, and must return an array of
+    their shape.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n < 100:
         raise ValueError("need at least 100 samples for a KS statistic")
-    try:
-        F = np.asarray(cdf(xs), dtype=float)
-        if F.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        F = np.array([float(cdf(v)) for v in xs])
+    F = np.asarray(cdf(xs), dtype=float)
+    if F.shape != xs.shape:
+        raise ValueError(f"cdf returned shape {F.shape} for {xs.shape} samples")
     emp = np.searchsorted(xs, xs, side="right") / n
     return float(np.max(np.abs(emp - F)))

@@ -28,8 +28,7 @@ from gegwalk.hypergroup import (
 )
 from gegwalk.specfun import gamma_fn, ml_density, ml_function, ml_moment, ml_sample
 from gegwalk.verify import (
-    check_llt_aperiodic,
-    check_llt_periodic,
+    check_llt,
     ks_statistic,
     local_time_scale_constant,
     space_scaled_from_origin,
@@ -111,7 +110,7 @@ def test_criterion_03_aperiodic_power_law():
     # w_0 Gamma(3/4) / (2 (C n)^(3/4)), C = 13/12: final ratio in [0.95, 1.05]
     C = drift_constant(QUARTER, MIX)
     assert C == pytest.approx(13.0 / 12.0, rel=1e-14)
-    rep = check_llt_aperiodic(QUARTER, MIX, 0, 0, [2**k for k in range(6, 15)])
+    rep = check_llt(QUARTER, MIX, 0, 0, [2**k for k in range(6, 15)])
     final = rep.rows[-1]
     assert 0.95 <= final.ratio <= 1.05, (
         f"ratio at n=2^14 is {final.ratio:.4f}, outside [0.95, 1.05]"
@@ -123,8 +122,8 @@ def test_criterion_04_unit_step_power_law_and_exact_tree():
     # reflected walk: p^(n)(0,0) vs sqrt(2/(pi n)) on even n up to 1e4;
     # odd-parity probabilities exactly zero; exact rational-enumeration
     # agreement for n <= 20
-    rep = check_llt_periodic(
-        CHEB, 0, 0, [9, 99, 100, 999, 1000, 9999, 10_000],
+    rep = check_llt(
+        CHEB, D1, 0, 0, [9, 99, 100, 999, 1000, 9999, 10_000],
         ratio_window=(0.98, 1.02),
     )
     final = rep.rows[-1]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,17 +169,9 @@ class TestLocaltime:
         assert run(capsys, *self.ARGS, "--threads", "3", "--output", str(p3))[0] == 0
         assert p1.read_bytes() == p3.read_bytes()
 
-    def test_env_var_thread_default(self, capsys, monkeypatch, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, *self.ARGS, "--threads", "1", "--output", str(p1))
-        monkeypatch.setenv("GEGWALK_THREADS", "2")
-        run(capsys, *self.ARGS, "--output", str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_env_var_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("GEGWALK_THREADS", "zero")
-        rc, _, err = run(capsys, *self.ARGS)
-        assert rc == 2 and "GEGWALK_THREADS" in err
+    def test_zero_threads_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, *self.ARGS, "--threads", "0")
+        assert rc == 2 and out == "" and "threads must be >= 1" in err
 
     def test_json_summary_default_scale(self, capsys):
         rc, out, _ = run(capsys, *self.ARGS, "--format", "json")
@@ -252,6 +245,47 @@ class TestVerifyLlt:
                        "--mu", "1:0.5,2:0.5", "--x", "0", "--y", "0",
                        "--n", "64;256")
         assert rc == 2
+
+
+class TestVerifyLltBytes:
+    """SHA-256 of the report bytes on both LLT routes, so a refactor of
+    the checker or the command layer cannot move a digit unnoticed."""
+
+    MIXED = ["verify-llt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
+             "--x", "0", "--y", "0", "--n", "64,128,256,512,1024"]
+    UNIT = ["verify-llt", "--alpha", "-0.5", "--mu", "1:1",
+            "--x", "0", "--y", "1", "--n", "9,99,100,999,1000"]
+
+    @pytest.mark.parametrize("argv,fmt,digest,stderr", [
+        (MIXED, "csv",
+         "552f7feed7fec395127f665d96da6fecc5e24de1c5ee74b39bed968dabb36883",
+         "aperiodic-llt: pass\n"),
+        (MIXED, "json",
+         "50e2bbba388968daa4ec2bf014ee00f70b484b72be33d19a63e14b59125a6dcd",
+         "aperiodic-llt: pass\n"),
+        (UNIT, "csv",
+         "6b7c7c44fac5273847262bb8b3287a23086356d1a6ed3c41bcc9f3906f299f9f",
+         "unit-step-llt: pass\n"),
+        (UNIT, "json",
+         "4b3e1ee4244855e90048218d84cef29c8f459f5d5e6a6830fa7d7581e4ef494f",
+         "unit-step-llt: pass\n"),
+    ], ids=["mixed-csv", "mixed-json", "unit-csv", "unit-json"])
+    def test_report_digest(self, capsys, argv, fmt, digest, stderr):
+        rc, out, err = run(capsys, *argv, "--format", fmt)
+        assert rc == 0 and err == stderr
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_one_parity_refusal_bytes(self, capsys):
+        rc, out, err = run(capsys, "verify-llt", "--alpha", "-0.25",
+                           "--mu", "2:1", "--x", "0", "--y", "0", "--n", "8,16")
+        assert rc == 2 and out == ""
+        assert err == (
+            "gegwalk: step measure is supported on even states only, so the "
+            "n-step laws vanish on a parity class and the plain asymptote "
+            "does not apply: give mu both an odd and an even state; the unit "
+            "step mu = delta_1 (--mu 1:1) has parity-refined checks in "
+            "verify-llt and verify-lt\n"
+        )
 
 
 class TestVerifyLt:
@@ -343,6 +377,11 @@ class TestSpecfun:
                            "--x", "nan")
         assert rc == 2 and out == "" and "finite" in err
 
+    def test_bessel_j_past_term_cap_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "specfun", "bessel-j", "--order", "0",
+                           "--x", "400")
+        assert rc == 2 and out == "" and "did not converge" in err
+
     def test_ml_function_nonconvergence_is_exit_2(self, capsys):
         rc, out, err = run(capsys, "specfun", "ml-function", "--order", "0.1",
                            "--x", "3")
@@ -364,6 +403,27 @@ class TestSpecfun:
         rc, out, _ = run(capsys, "specfun", "bessel-i", "--order", "0.0",
                          "--x", "0.0")
         assert float(out) == 1.0
+
+
+class TestRefusedFlags:
+    # flags a command would not read are refused by argparse, not ignored
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "-0.5", "--mu", "1:1", "--n", "10",
+         "--replicas", "4", "--seed", "1", "--full-precision"],
+        ["localtime", "--alpha", "-0.5", "--mu", "1:1", "--y", "0",
+         "--n", "10", "--replicas", "4", "--seed", "1", "--full-precision"],
+        ["verify-llt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5", "--x", "0",
+         "--y", "0", "--n", "64", "--full-precision"],
+        ["verify-lt", "--alpha", "-0.5", "--mu", "1:1", "--y", "0",
+         "--n", "100", "--replicas", "200", "--seed", "1", "--full-precision"],
+        ["specfun", "gamma", "--x", "3", "--format", "json"],
+    ], ids=["simulate", "localtime", "verify-llt", "verify-lt", "specfun"])
+    def test_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err
 
 
 class TestEntryPoint:

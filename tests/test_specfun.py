@@ -99,6 +99,14 @@ class TestBesselJ:
         for x in (15.0, 30.0, 50.0):
             assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-12)
 
+    def test_largest_argument_in_range(self):
+        assert sf.bessel_j(0.5, 300.0) == pytest.approx(orc.j_half(300.0), abs=1e-12)
+
+    def test_term_cap_raises_instead_of_truncating(self):
+        # the 500-term series cannot reach x = 400, where J_1/2 is -0.0339
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            sf.bessel_j(0.5, 400.0)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             sf.bessel_j(-1.0, 1.0)

@@ -12,8 +12,7 @@ from gegwalk.specfun import MittagLefflerDist, gamma_fn, ml_moment, ml_sample
 from gegwalk.verify import (
     ReportRow,
     VerifyReport,
-    check_llt_aperiodic,
-    check_llt_periodic,
+    check_llt,
     check_local_time_limit,
     check_space_scaled_llt,
     ks_statistic,
@@ -45,7 +44,7 @@ class TestReportRow:
 
     def test_zero_prediction_rows(self):
         report = VerifyReport("t", {}, [])
-        ok = check_llt_periodic(CHEB, 0, 0, [1, 2]).rows[0]
+        ok = check_llt(CHEB, D1, 0, 0, [1, 2]).rows[0]
         assert ok.prediction == 0.0 and ok.ratio == 0.0 and ok.passed
         del report
 
@@ -93,7 +92,7 @@ class TestVerifyReport:
 class TestAperiodicAsymptote:
     def test_mixed_step_walk_converges(self):
         ns = [2**k for k in range(6, 13)]
-        rep = check_llt_aperiodic(QUARTER, MIX, 0, 0, ns)
+        rep = check_llt(QUARTER, MIX, 0, 0, ns)
         assert rep.passed
         assert rep.notes["ratio_trend"] == "approaching-1"
         assert 0.95 <= rep.rows[-1].ratio <= 1.05
@@ -102,12 +101,12 @@ class TestAperiodicAsymptote:
 
     def test_off_origin_target(self):
         ns = [2**k for k in range(6, 13)]
-        rep = check_llt_aperiodic(QUARTER, MIX, 1, 2, ns)
+        rep = check_llt(QUARTER, MIX, 1, 2, ns)
         assert rep.passed
 
     def test_alpha_zero(self):
         ns = [2**k for k in range(6, 13)]
-        rep = check_llt_aperiodic(ZERO, MIX, 0, 0, ns)
+        rep = check_llt(ZERO, MIX, 0, 0, ns)
         assert rep.passed
 
     def test_prediction_formula(self):
@@ -119,29 +118,27 @@ class TestAperiodicAsymptote:
 
     def test_rejects_even_support(self):
         with pytest.raises(ValueError, match="even"):
-            check_llt_aperiodic(QUARTER, SparseMeasure({2: 1.0}), 0, 0, [4, 8])
+            check_llt(QUARTER, SparseMeasure({2: 1.0}), 0, 0, [4, 8])
 
     def test_rejects_odd_only_support(self):
         with pytest.raises(ValueError, match="odd"):
-            check_llt_aperiodic(
-                QUARTER, SparseMeasure({1: 0.5, 3: 0.5}), 0, 0, [4, 8]
-            )
+            check_llt(QUARTER, SparseMeasure({1: 0.5, 3: 0.5}), 0, 0, [4, 8])
 
     def test_horizon_list_validation(self):
         with pytest.raises(ValueError):
-            check_llt_aperiodic(QUARTER, MIX, 0, 0, [])
+            check_llt(QUARTER, MIX, 0, 0, [])
         with pytest.raises(ValueError):
-            check_llt_aperiodic(QUARTER, MIX, 0, 0, [8, 8])
+            check_llt(QUARTER, MIX, 0, 0, [8, 8])
         with pytest.raises(ValueError):
-            check_llt_aperiodic(QUARTER, MIX, 0, 0, [8, 4])
+            check_llt(QUARTER, MIX, 0, 0, [8, 4])
         with pytest.raises(ValueError):
-            check_llt_aperiodic(QUARTER, MIX, 0, 0, [0, 4])
+            check_llt(QUARTER, MIX, 0, 0, [0, 4])
 
 
 class TestUnitStepAsymptote:
     def test_reflected_walk_origin(self):
         ns = [10, 100, 1000, 9999, 10_000]
-        rep = check_llt_periodic(CHEB, 0, 0, ns, ratio_window=(0.98, 1.02))
+        rep = check_llt(CHEB, D1, 0, 0, ns, ratio_window=(0.98, 1.02))
         assert rep.passed
         # odd n (n+x+y odd) must be exactly zero
         zero_rows = [r for r in rep.rows if r.label == "9999"]
@@ -150,16 +147,24 @@ class TestUnitStepAsymptote:
 
     def test_reflected_walk_off_origin(self):
         # x=0, y=1: the live parity class is odd n
-        rep = check_llt_periodic(CHEB, 0, 1, [999, 1000, 10_001],
-                                 ratio_window=(0.98, 1.02))
+        rep = check_llt(CHEB, D1, 0, 1, [999, 1000, 10_001],
+                        ratio_window=(0.98, 1.02))
         assert rep.passed
         by_label = {r.label: r for r in rep.rows}
         assert by_label["1000"].prediction == 0.0
         assert by_label["10001"].checked
 
     def test_quarter_index(self):
-        rep = check_llt_periodic(QUARTER, 0, 0, [100, 1000, 10_000])
+        rep = check_llt(QUARTER, D1, 0, 0, [100, 1000, 10_000])
         assert rep.passed
+
+    def test_unit_step_takes_the_parity_refined_route(self):
+        # the unit step is the one one-parity step check_llt accepts;
+        # its report has no drift constant and no trend note
+        rep = check_llt(QUARTER, D1, 0, 0, [100, 200])
+        assert rep.theorem == "unit-step-llt"
+        assert list(rep.params) == ["alpha", "x", "y", "n_list", "ratio_window"]
+        assert rep.notes == {"even_rows": 2, "odd_rows": 0}
 
 
 class TestSpaceScaled:
@@ -336,12 +341,9 @@ class TestKSStatistic:
         d = ks_statistic(xs, lambda t: np.clip(np.asarray(t), 0.0, 1.0))
         assert d <= 1.0 / 500 + 1e-12
 
-    def test_scalar_cdf_route(self):
-        rng = np.random.default_rng(7)
-        xs = rng.exponential(1.0, 200)
-        vec = ks_statistic(xs, lambda t: 1.0 - np.exp(-np.asarray(t)))
-        scal = ks_statistic(xs, lambda t: 1.0 - math.exp(-t))
-        assert vec == scal
+    def test_cdf_must_be_vectorised(self):
+        with pytest.raises(ValueError, match="shape"):
+            ks_statistic(np.linspace(0.0, 1.0, 200), lambda t: 0.5)
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
