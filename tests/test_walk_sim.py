@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine: reproducibility, laws, local times."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from scipy.stats import chisquare
 
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, kernel_row, n_step
+from gegwalk import walk_sim
 from gegwalk.walk_sim import (
     LocalTimeSamples,
     WalkConfig,
     _row_cdf,
+    _run_block,
     local_time_counts,
     simulate_replica,
 )
@@ -136,6 +139,27 @@ class TestRowTable:
                               replicas=100, targets=(8000,)))
         assert _row_cdf.cache_info().misses <= 2 * n * smax + 64 * smax + 1
 
+    @pytest.mark.parametrize("mu", [D1, MIX])
+    def test_table_never_outgrows_the_walk(self, mu, monkeypatch):
+        # at alpha = 20 the walk drifts upward, so the table grows several
+        # times; its top row stays within 64 steps of the highest state
+        # the walk can reach
+        tables = []
+
+        class Recorded(walk_sim._RowTable):
+            def __init__(self, config):
+                super().__init__(config)
+                tables.append(self)
+
+        monkeypatch.setattr(walk_sim, "_RowTable", Recorded)
+        c = cfg(idx=HypergroupIndex(20.0), mu=mu, start=3, horizon=300,
+                replicas=50, seed=11)
+        _run_block(c, 0, c.replicas)
+        (table,) = tables
+        top = table.lo + table.cols.shape[1] - 1
+        assert top > c.start + 64 * table.smax
+        assert top <= c.start + c.horizon * table.smax + 64 * table.smax
+
 
 class TestLocalTimeCounts:
     def test_horizon_zero(self):
@@ -256,3 +280,53 @@ class TestMeanVisitsCurve:
         lt = local_time_counts(cfg(horizon=n, replicas=2000, seed=67))
         ratio = lt.counts[:, 0].mean() / math.sqrt(2 * n / math.pi)
         assert 0.9 < ratio < 1.1
+
+
+# SHA-256 of counts.tobytes() + terminal.tobytes() and of to_csv() for each
+# case below, recorded from the per-step engine before the count moved out
+# of its step loop.  Horizons avoid multiples of 64 and 512; the mixed case
+# spans two full 4096-replica blocks and a one-replica block.
+ENGINE_CASES = {
+    "unit": cfg(targets=tuple(range(0, 40, 2)) + (0, 10**12), horizon=1100,
+                replicas=600, seed=3),
+    "mixed": cfg(idx=QUARTER, mu=MIX, horizon=577, replicas=8193, seed=4),
+    "three_atoms": cfg(idx=HypergroupIndex(0.5),
+                       mu=SparseMeasure({1: 0.25, 2: 0.5, 3: 0.25}), start=5,
+                       horizon=37, replicas=3000, targets=(5, 3, 5, 3000), seed=5),
+    "even_far": cfg(mu=SparseMeasure({2: 0.5, 4: 0.5}), start=2000, horizon=37,
+                    replicas=700, targets=(2000, 1990, 2040), seed=6),
+    "no_steps": cfg(mu=SparseMeasure({2: 0.5, 4: 0.5}), start=2000, horizon=0,
+                    replicas=70, targets=(2000, 2002), seed=7),
+}
+ENGINE_SHA256 = {
+    "unit": (
+        "42e7bf0f7f9919099a0d2c85c270d575495550faf1c200a8b4958716a4fdc305",
+        "fc10e6f7169283f447a31aa65a0544e485af9d2c800d64c6563d55983cee8159",
+    ),
+    "mixed": (
+        "939114aed01896ee887cbb40ea060c397816df1d82a41d38788e5f7554325bfd",
+        "ede6fa4b4f5ab91015742da907efbd7e4a4de763a7fe1aab06fcc00989685779",
+    ),
+    "three_atoms": (
+        "c7975a9badcf2558ea042b2d5736b40cca634be9e2f00674898e718f67cb2fba",
+        "022ee42985f4ec15a22806f62cdfc678f53a7e42b271ee4a7760a201f8234603",
+    ),
+    "even_far": (
+        "4da01bed335277e9dfbcb000d45776294401f5ab222c33831fd703a7f16cdf4f",
+        "65e20dc9dbb6b9c3fbbf1d58594c80316879a4c3e2f7f0d375e23f8a75a8672d",
+    ),
+    "no_steps": (
+        "a80c8602e25c54d7c2f2b7e0db8becf4be3308c901f994d27d1ffc48096e15ab",
+        "f30bac9caaf742c400abe6f96060d907fbceb7ea7f68f25ccd00a55a4b560968",
+    ),
+}
+
+
+class TestEngineBytes:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_engine_bytes(self, case, threads):
+        lt = local_time_counts(ENGINE_CASES[case], threads=threads)
+        arrays = hashlib.sha256(lt.counts.tobytes() + lt.terminal.tobytes())
+        csv = hashlib.sha256(lt.to_csv().encode())
+        assert (arrays.hexdigest(), csv.hexdigest()) == ENGINE_SHA256[case]
