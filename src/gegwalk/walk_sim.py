@@ -29,9 +29,12 @@ from .hypergroup import DEFAULT_STATE_CAP, GegenbauerKernel, SparseMeasure, kern
 
 _BLOCK = 4096   # replicas advanced together by the vectorized engine
 # Uniforms buffered per replica between refills.  A full block holds
-# B x _CHUNK of them plus, while the next chunk is transposed, two
-# transposed copies: 48 MiB per block in flight.
+# B x _CHUNK of them in U and once more in the step-major copy Ut, which
+# is reused for every chunk: 32 MiB per block.
 _CHUNK = 512
+# Steps recorded between visit tallies.  The int32 slice buffer and the
+# tally's temporaries stay near _SLICE x B entries (1 MiB per block).
+_SLICE = 64
 _ROW_CACHE = 4096
 
 
@@ -219,41 +222,63 @@ class _RowTable:
 def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance replicas r0..r1-1 in lockstep to the configured horizon.
 
-    Returns per-replica counts (B x K int64) and terminal states.
+    The step loop only steps: it records each step's states in a slice
+    buffer of at most `_SLICE` steps.  After each slice one tally maps
+    the recorded states that are targets to their target index (by
+    binary search over the sorted distinct targets) and adds the visits
+    with one bincount; the k = 0 visit goes through the same tally.  The
+    row table grows once per slice, to the highest state the slice can
+    reach.  Returns per-replica counts (B x K int64) and terminal states.
     """
     B = r1 - r0
     horizon = config.horizon
-    targets = config.target_states
-    K = len(targets)
     gens = [_replica_rng(config.seed, r) for r in range(r0, r1)]
-
-    S = np.full(B, config.start, dtype=np.int64)
-    counts = np.zeros((B, K), dtype=np.int64)
-    for j, y in enumerate(targets):
-        counts[:, j] += S == y  # the k = 0 visit
-
     table = _RowTable(config)
     smax = table.smax
+    reach = config.start + horizon * smax
+
+    # Targets above every reachable state collapse into one column of
+    # zeros at `unreached`, so every target fits the int32 state buffer.
+    unreached = min(reach, DEFAULT_STATE_CAP) + 1
+    ys = [min(y, unreached) for y in config.target_states]
+    uniq, column = np.unique(np.array(ys, dtype=np.int32), return_inverse=True)
+    Ku = len(uniq)
+    hits = np.zeros(B * Ku, dtype=np.int64)
+
+    def tally(states: np.ndarray) -> None:
+        p = np.flatnonzero(states <= uniq[-1])
+        v = states.ravel()[p]
+        j = np.searchsorted(uniq, v)
+        keep = uniq[j] == v
+        p, j = p[keep], j[keep]
+        hits[:] += np.bincount((p % B) * Ku + j, minlength=B * Ku)
+
+    S = np.full(B, config.start, dtype=np.int64)
+    tally(S[None, :])  # the k = 0 visit
 
     chunk = min(_CHUNK, horizon)
     U = np.empty((B, chunk))
+    Ut = np.empty((chunk, B))
+    buf = np.empty((min(_SLICE, chunk), B), dtype=np.int32)
     done = 0
     while done < horizon:
         T = min(chunk, horizon - done)
         for i, g in enumerate(gens):
             g.random(out=U[i, :T])
-        Ut = np.ascontiguousarray(U[:, :T].T)
-        for t in range(T):
-            u = Ut[t]
-            table.ensure(int(S.max()))
-            here = S - table.lo
-            S -= smax
-            for col in table.cols:
-                S += col[here] <= u
-            for j, y in enumerate(targets):
-                counts[:, j] += S == y
+        np.copyto(Ut[:T], U[:, :T].T)
+        for s0 in range(0, T, _SLICE):
+            L = min(_SLICE, T - s0)
+            table.ensure(min(int(S.max()) + L * smax, reach))
+            lo, cols = table.lo, table.cols
+            for t in range(L):
+                here = S - lo
+                S -= smax
+                for col in cols:
+                    S += col[here] <= Ut[s0 + t]
+                buf[t] = S
+            tally(buf[:L])
         done += T
-    return counts, S.copy()
+    return hits.reshape(B, Ku)[:, column], S.copy()
 
 
 def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSamples:
