@@ -32,8 +32,8 @@ _BLOCK = 4096   # replicas advanced together by the vectorized engine
 # B x _CHUNK of them in U and once more in the step-major copy Ut, which
 # is reused for every chunk: 32 MiB per block.
 _CHUNK = 512
-# Steps recorded between visit tallies.  The int32 slice buffer and the
-# tally's temporaries stay near _SLICE x B entries (1 MiB per block).
+# Steps recorded between visit tallies.  The int32 slice buffer takes
+# 1 MiB per block, and the tally's temporaries are of the same order.
 _SLICE = 64
 _ROW_CACHE = 4096
 
@@ -235,11 +235,10 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     gens = [_replica_rng(config.seed, r) for r in range(r0, r1)]
     table = _RowTable(config)
     smax = table.smax
-    reach = config.start + horizon * smax
 
     # Targets above every reachable state collapse into one column of
     # zeros at `unreached`, so every target fits the int32 state buffer.
-    unreached = min(reach, DEFAULT_STATE_CAP) + 1
+    unreached = min(config.start + horizon * smax, DEFAULT_STATE_CAP) + 1
     ys = [min(y, unreached) for y in config.target_states]
     uniq, column = np.unique(np.array(ys, dtype=np.int32), return_inverse=True)
     Ku = len(uniq)
@@ -259,7 +258,7 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     chunk = min(_CHUNK, horizon)
     U = np.empty((B, chunk))
     Ut = np.empty((chunk, B))
-    buf = np.empty((min(_SLICE, chunk), B), dtype=np.int32)
+    buf = np.empty((_SLICE, B), dtype=np.int32)
     done = 0
     while done < horizon:
         T = min(chunk, horizon - done)
@@ -268,7 +267,7 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
         np.copyto(Ut[:T], U[:, :T].T)
         for s0 in range(0, T, _SLICE):
             L = min(_SLICE, T - s0)
-            table.ensure(min(int(S.max()) + L * smax, reach))
+            table.ensure(int(S.max()) + L * smax)
             lo, cols = table.lo, table.cols
             for t in range(L):
                 here = S - lo

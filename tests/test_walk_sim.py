@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from gegwalk import walk_sim
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, kernel_row, n_step
-from gegwalk import walk_sim
 from gegwalk.walk_sim import (
     LocalTimeSamples,
     WalkConfig,
@@ -141,9 +141,9 @@ class TestRowTable:
 
     @pytest.mark.parametrize("mu", [D1, MIX])
     def test_table_never_outgrows_the_walk(self, mu, monkeypatch):
-        # at alpha = 20 the walk drifts upward, so the table grows several
-        # times; its top row stays within 64 steps of the highest state
-        # the walk can reach
+        # at alpha = 1000 the walk climbs at almost every step, so the
+        # table grows several times; its top row stays within 64 steps of
+        # the highest state the walk can reach
         tables = []
 
         class Recorded(walk_sim._RowTable):
@@ -152,7 +152,7 @@ class TestRowTable:
                 tables.append(self)
 
         monkeypatch.setattr(walk_sim, "_RowTable", Recorded)
-        c = cfg(idx=HypergroupIndex(20.0), mu=mu, start=3, horizon=300,
+        c = cfg(idx=HypergroupIndex(1000.0), mu=mu, start=3, horizon=300,
                 replicas=50, seed=11)
         _run_block(c, 0, c.replicas)
         (table,) = tables
