@@ -5,35 +5,20 @@ polynomials, Monte Carlo local-time simulation, and checks of the local
 limit theorems and Mittag-Leffler local-time limit laws.
 """
 
-from gegwalk.errors import (
-    ConsistencyError,
-    GegwalkError,
-    QuadratureError,
-    StateCapError,
-)
+from gegwalk.errors import ConsistencyError, GegwalkError, StateCapError
 from gegwalk.gegenbauer import (
     HypergroupIndex,
     LinearizationRow,
-    eval_poly,
-    eval_poly_table,
     linearization,
-    orthogonality_integral,
     weight,
 )
 from gegwalk.hypergroup import (
     GegenbauerKernel,
-    MembershipResult,
     SparseMeasure,
-    classify,
-    convolve,
     drift_constant,
-    fourier,
-    inverse_fourier,
-    is_gegenbauer_walk,
     kernel_row,
     n_step,
     n_step_sequence,
-    transition_matrix,
 )
 from gegwalk.specfun import (
     MittagLefflerDist,
@@ -51,7 +36,6 @@ from gegwalk.verify import (
     VerifyReport,
     check_llt,
     check_local_time_limit,
-    check_space_scaled_llt,
     ks_statistic,
     local_time_scale,
     local_time_scale_constant,

@@ -5,18 +5,6 @@ class GegwalkError(Exception):
     """Base class for package-specific failures."""
 
 
-class QuadratureError(GegwalkError):
-    """Raised when an adaptive quadrature cannot reach the requested tolerance.
-
-    Carries the tolerance actually achieved so callers can decide whether
-    the partial result is still usable.
-    """
-
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
-        self.achieved_tol = achieved_tol
-
-
 class StateCapError(GegwalkError):
     """Raised when an exact kernel computation would exceed the state cap.
 

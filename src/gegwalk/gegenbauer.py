@@ -21,21 +21,15 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from gegwalk.errors import ConsistencyError, QuadratureError
+from gegwalk.errors import ConsistencyError
 
 __all__ = [
     "HypergroupIndex",
     "LinearizationRow",
-    "eval_poly",
-    "eval_poly_table",
     "weight",
-    "orthogonality_integral",
     "linearization",
 ]
-
-_MAX_QUAD_DEGREE = 200
 
 
 @dataclass(frozen=True)
@@ -76,39 +70,8 @@ def _recurrence(
         yield cur
 
 
-def eval_poly(idx: HypergroupIndex, n: int, x: float) -> float:
-    """P_n^(alpha)(x) for |x| <= 1: one point of eval_poly_table.
-
-    The upward recurrence is stable here: all values stay bounded by 1
-    in modulus.
-    """
-    if n < 0:
-        raise ValueError("eval_poly: n must be >= 0")
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("eval_poly: x must lie in [-1, 1]")
-    return float(eval_poly_table(idx, n, np.array([x]))[n, 0])
-
-
-def eval_poly_table(idx: HypergroupIndex, nmax: int, xs: np.ndarray) -> np.ndarray:
-    """All degrees 0..nmax at once on an array of points.
-
-    Returns an array of shape (nmax+1, len(xs)); row n is P_n at xs,
-    built by _recurrence in value space, where x acts pointwise.
-    """
-    if nmax < 0:
-        raise ValueError("eval_poly_table: nmax must be >= 0")
-    xs = np.asarray(xs, dtype=float)
-    if xs.size and (xs.min() < -1.0 or xs.max() > 1.0):
-        raise ValueError("eval_poly_table: points must lie in [-1, 1]")
-    table = np.empty((nmax + 1, xs.size))
-    rows = _recurrence(idx.alpha, nmax, np.ones(xs.size), lambda c, u: c * xs * u)
-    for k, row in enumerate(rows):
-        table[k] = row
-    return table
-
-
 def weight(idx: HypergroupIndex, n: int) -> float:
-    """Orthogonality weight w_n: 1/orthogonality_integral(idx, n, n).
+    """Orthogonality weight w_n = 1 / integral of P_n^2 (1-x^2)^a dx over [-1, 1].
 
     w_n = (2n+2a+1) Gamma(n+2a+1) / (2^(2a+1) Gamma(n+1) Gamma(a+1)^2)
     for n >= 1.  At n = 0 the prefactor (2a+1)Gamma(2a+1) is rewritten as
@@ -123,41 +86,6 @@ def weight(idx: HypergroupIndex, n: int) -> float:
         return math.gamma(2 * a + 2.0) / denom
     log_ratio = math.lgamma(n + 2 * a + 1.0) - math.lgamma(n + 1.0)
     return (2 * n + 2 * a + 1) * math.exp(log_ratio) / denom
-
-
-def _jacobi_nodes(alpha: float, npoints: int):
-    # Gauss nodes for the measure (1-x^2)^alpha dx on [-1, 1]
-    return roots_jacobi(npoints, alpha, alpha)
-
-
-def orthogonality_integral(idx: HypergroupIndex, n: int, m: int) -> float:
-    """Integral of P_n P_m against (1-x^2)^alpha dx over [-1, 1].
-
-    Near 0 for n != m and 1/weight(idx, n) on the diagonal.  Uses a
-    Gauss rule matched to the endpoint weight; a naive uniform rule would
-    fail for alpha in (-1/2, 0).  The rule is exact for the integrand
-    degree, and a cross-check at higher node count guards against
-    accumulation error; disagreement raises QuadratureError.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("orthogonality_integral: degrees must be >= 0")
-    if max(n, m) > _MAX_QUAD_DEGREE:
-        raise ValueError(
-            f"orthogonality_integral: degrees above {_MAX_QUAD_DEGREE} are outside "
-            "the quadrature accuracy envelope"
-        )
-    npoints = 2 * max(n, m) + 16
-    vals = []
-    for extra in (0, 8):
-        nodes, wts = _jacobi_nodes(idx.alpha, npoints + extra)
-        table = eval_poly_table(idx, max(n, m), nodes)
-        vals.append(float(np.sum(wts * table[n] * table[m])))
-    if abs(vals[0] - vals[1]) > 1e-9 * max(1.0, abs(vals[1])):
-        raise QuadratureError(
-            f"orthogonality_integral({n},{m}) did not stabilize",
-            achieved_tol=abs(vals[0] - vals[1]),
-        )
-    return vals[1]
 
 
 @dataclass(frozen=True)

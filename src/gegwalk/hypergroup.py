@@ -3,10 +3,7 @@
 The product formula for Gegenbauer polynomials induces a convolution of
 point masses, delta_m * delta_n = sum_k c(m,n,k) delta_k, with the
 linearization coefficients as weights.  Extended bilinearly this gives a
-commutative convolution of probability measures on N, a transition
-kernel p(x, .) = delta_x * mu for any step measure mu, and a Fourier
-calculus in which mu_hat(theta) = sum mu(n) P_n(cos theta) turns
-convolution into pointwise products.
+transition kernel p(x, .) = delta_x * mu for any step measure mu.
 
 Exact n-step laws are computed by iterating the one-step operator on a
 dense coefficient vector.
@@ -14,39 +11,24 @@ dense coefficient vector.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping, NamedTuple
+from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from gegwalk.errors import ConsistencyError, QuadratureError, StateCapError
-from gegwalk.gegenbauer import (
-    HypergroupIndex,
-    _jacobi_nodes,
-    _poly_apply,
-    eval_poly_table,
-    linearization,
-    weight,
-)
+from gegwalk.errors import ConsistencyError, StateCapError
+from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, linearization
 
 __all__ = [
     "SparseMeasure",
     "GegenbauerKernel",
-    "MembershipResult",
-    "convolve",
     "kernel_row",
     "n_step",
     "n_step_sequence",
-    "fourier",
-    "inverse_fourier",
-    "classify",
     "drift_constant",
-    "is_gegenbauer_walk",
-    "transition_matrix",
 ]
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -133,14 +115,6 @@ class SparseMeasure:
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.items())
-
-    def as_array(self, length: int | None = None) -> np.ndarray:
-        n = (self.max_state + 1) if length is None else length
-        out = np.zeros(n)
-        for s, m in self.items():
-            if s < n:
-                out[s] = m
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SparseMeasure):
@@ -262,23 +236,6 @@ def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def convolve(idx: HypergroupIndex, mu: SparseMeasure, nu: SparseMeasure) -> SparseMeasure:
-    """Generalized convolution mu * nu of two probability measures.
-
-    The operands are ordered canonically before the sweep (smaller max
-    support drives the Jacobi recurrence), so both argument orders run
-    the identical computation and commutativity holds bit for bit.
-    """
-
-    def order_key(m: SparseMeasure):
-        return (m.max_state, m.support, tuple(v for _, v in m.items()))
-
-    if order_key(mu) > order_key(nu):
-        mu, nu = nu, mu
-    out = _poly_apply(idx.alpha, list(mu.items()), nu.as_array())
-    return SparseMeasure.from_array(_clamp_roundoff(out), total_tol=1e-10)
-
-
 def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
     """Row x of the transition kernel: delta_x * mu.
 
@@ -352,45 +309,6 @@ def n_step_sequence(
     return _n_step_laws(kernel, x, ns)
 
 
-def fourier(idx: HypergroupIndex, mu: SparseMeasure, theta: float) -> float:
-    """Generalized Fourier transform sum_n mu(n) P_n(cos theta)."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("fourier: theta must lie in [0, pi]")
-    table = eval_poly_table(idx, mu.max_state, np.array([math.cos(theta)]))
-    return math.fsum(m * table[s, 0] for s, m in mu.items())
-
-
-def inverse_fourier(
-    idx: HypergroupIndex, f: Callable[[float], float], n: int
-) -> float:
-    """Coefficient recovery: w_n * integral of f(theta) P_n(cos theta)
-    sin^(2a+1)(theta) dtheta over [0, pi].
-
-    Substituting x = cos(theta) turns the weight into (1-x^2)^alpha, so
-    Gauss nodes for that weight apply directly; node counts are doubled
-    until two successive levels agree within 1e-9.
-    """
-    if n < 0:
-        raise ValueError("inverse_fourier: n must be >= 0")
-    prev = None
-    for npoints in (64, 128, 256, 512, 1024, 2048, 4096):
-        nodes, wts = _jacobi_nodes(idx.alpha, npoints)
-        pn = eval_poly_table(idx, n, nodes)[n]
-        fv = np.array([f(math.acos(min(1.0, max(-1.0, t)))) for t in nodes])
-        val = weight(idx, n) * float(np.sum(wts * fv * pn))
-        if prev is not None and abs(val - prev) <= 1e-9:
-            return val
-        prev = val
-    raise QuadratureError(
-        f"inverse_fourier(n={n}) did not stabilize", achieved_tol=abs(val - prev)
-    )
-
-
-def classify(idx: HypergroupIndex) -> Literal["recurrent", "transient"]:
-    """Recurrence dichotomy of the walk: recurrent iff alpha <= 0."""
-    return "recurrent" if idx.alpha <= 0.0 else "transient"
-
-
 def drift_constant(idx: HypergroupIndex, mu: SparseMeasure) -> float:
     """Scale constant C = 1/(4(alpha+1)) * sum mu(n) n (n+2 alpha+1).
 
@@ -398,77 +316,3 @@ def drift_constant(idx: HypergroupIndex, mu: SparseMeasure) -> float:
     """
     a = idx.alpha
     return math.fsum(m * s * (s + 2 * a + 1) for s, m in mu.items()) / (4.0 * (a + 1.0))
-
-
-def transition_matrix(kernel: GegenbauerKernel, nmax: int) -> np.ndarray:
-    """Dense kernel rows 0..nmax, columns truncated to 0..nmax.
-
-    Rows near nmax lose the mass their support carries past the edge;
-    consumers are expected to ignore the last few rows.
-    """
-    out = np.zeros((nmax + 1, nmax + 1))
-    for x in range(nmax + 1):
-        out[x] = kernel_row(kernel, x).as_array(nmax + 1)
-    return out
-
-
-class MembershipResult(NamedTuple):
-    """Outcome of the structural test for Gegenbauer-walk kernels."""
-
-    is_member: bool
-    max_residual: float
-    recovered_step: SparseMeasure
-
-
-def is_gegenbauer_walk(transition: np.ndarray, lam: float) -> MembershipResult:
-    """Test whether a kernel matrix is a Gegenbauer walk with parameter lam.
-
-    Checks, for interior states i and columns j, the cross-relation
-
-        i/(2(i+lam)) p(i-1,j) + (i+2lam)/(2(i+lam)) p(i+1,j)
-          = (j+2lam-1)/(2(j+lam-1)) p(i,j-1) + (j+1)/(2(j+lam+1)) p(i,j+1)
-
-    which holds if and only if the kernel is delta_x * mu for some step
-    measure mu; that mu is then row 0 and is returned.  Exposed for
-    lam in [0, 1/2] as the relation is stated on that range.
-
-    Boundary conventions: at j = 0 the left neighbor term multiplies
-    p(i,-1) = 0 and is dropped; at j = 1 with lam = 0 its coefficient is
-    the 0/0 limit of (2 lam)/(2 lam) and is taken as 1 by continuity
-    (dropping it instead breaks the unit-step chain at alpha = -1/2).
-    The last two rows and columns are excluded: truncation makes them
-    unreliable for step supports reaching up to 2.
-    """
-    if not 0.0 <= lam <= 0.5:
-        raise ValueError("is_gegenbauer_walk: lam must lie in [0, 1/2]")
-    P = np.asarray(transition, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("is_gegenbauer_walk: transition must be a square matrix")
-    N = P.shape[0] - 1
-    if N < 4:
-        raise ValueError("is_gegenbauer_walk: need at least states 0..4")
-    body = P[: N - 1]  # rows N-1, N may be truncation-deficient
-    if body.min() < -1e-12:
-        raise ValueError("is_gegenbauer_walk: negative transition probability")
-    sums = body.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-8:
-        raise ValueError("is_gegenbauer_walk: rows are not probability vectors")
-
-    # center rows i = 1..N-3 so every referenced row stays <= N-2
-    i = np.arange(1, N - 2)[:, None].astype(float)
-    j_int = np.arange(0, N - 1)
-    j = j_int[None, :].astype(float)
-    lhs = (i / (2 * (i + lam))) * P[0 : N - 3, 0 : N - 1] + (
-        (i + 2 * lam) / (2 * (i + lam))
-    ) * P[2 : N - 1, 0 : N - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_left = (j + 2 * lam - 1.0) / (2 * (j + lam - 1.0))
-    c_left[:, j_int == 0] = 0.0
-    if lam == 0.0:
-        c_left[:, j_int == 1] = 1.0
-    p_left = np.zeros_like(lhs)
-    p_left[:, 1:] = P[1 : N - 2, 0 : N - 2]
-    rhs = c_left * p_left + ((j + 1.0) / (2 * (j + lam + 1.0))) * P[1 : N - 2, 1:N]
-    residual = float(np.abs(lhs - rhs).max())
-    mu = SparseMeasure.from_array(P[0], total_tol=1e-8)
-    return MembershipResult(residual <= 1e-10, residual, mu)

@@ -3,9 +3,7 @@
 Each checker compares exact or simulated quantities against the
 predicted asymptote and returns a `VerifyReport`: rows of
 (label, value, prediction, ratio), where selected rows carry a pass
-band for their ratio.  The verdict is a pure function of the rows, so
-reloading a report after changing the bands needs no recomputation of
-the underlying values.
+band for their ratio.  The verdict is a pure function of the rows.
 
 Tolerance policy.  Exact-vs-asymptote checks window the ratio at the
 largest n (default [0.95, 1.05]; the theorems give no convergence
@@ -24,23 +22,10 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gegenbauer import HypergroupIndex, weight
-from .hypergroup import (
-    GegenbauerKernel,
-    SparseMeasure,
-    drift_constant,
-    n_step,
-    n_step_sequence,
-)
-from .specfun import (
-    MittagLefflerDist,
-    bessel_i,
-    bessel_marginal_density,
-    gamma_fn,
-    ml_moment,
-)
+from .hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step_sequence
+from .specfun import MittagLefflerDist, gamma_fn
 from .walk_sim import WalkConfig, local_time_counts
 
 # Scaled local-time samples are clipped here before CDF evaluation, so
@@ -80,10 +65,6 @@ class ReportRow:
     prediction: float
     ratio: float
     window: tuple[float, float] | None = None
-
-    @property
-    def checked(self) -> bool:
-        return self.window is not None
 
     @property
     def passed(self) -> bool:
@@ -136,23 +117,6 @@ class VerifyReport:
             "verdict": self.verdict,
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerifyReport":
-        """Rebuild a report; the verdict is recomputed from the rows,
-        never trusted from the file."""
-        doc = json.loads(text)
-        rows = [
-            ReportRow(
-                r["label"],
-                float(r["value"]),
-                float(r["prediction"]),
-                float(r["ratio"]),
-                tuple(r["window"]) if r.get("window") else None,
-            )
-            for r in doc["rows"]
-        ]
-        return cls(doc["theorem"], doc["params"], rows, doc.get("notes", {}))
 
     def to_csv(self) -> str:
         lines = ["n,value,prediction,ratio"]
@@ -264,101 +228,6 @@ def check_llt(
         },
         rows=rows,
         notes={"ratio_trend": _ratio_trend(rows)},
-    )
-
-
-def space_scaled_diagonal(idx: HypergroupIndex, C: float, x: float) -> float:
-    """Limit of sqrt(n) p^(n)(floor(x sqrt n), floor(x sqrt n))."""
-    z = x * x / (2.0 * C)
-    return x / (2.0 * C) * math.exp(-z) * bessel_i(idx.alpha, z)
-
-
-def space_scaled_from_origin(idx: HypergroupIndex, C: float, x: float) -> float:
-    """Limit of sqrt(n) p^(n)(0, floor(x sqrt n))."""
-    a = idx.alpha
-    return (
-        x ** (2.0 * a + 1.0)
-        * math.exp(-x * x / (4.0 * C))
-        / (2.0 ** (2.0 * a + 1.0) * C ** (a + 1.0) * gamma_fn(a + 1.0))
-    )
-
-
-def check_space_scaled_llt(
-    idx: HypergroupIndex,
-    mu: SparseMeasure,
-    x_real: float,
-    n_list: Sequence[int],
-    *,
-    ratio_window: tuple[float, float] = (0.9, 1.1),
-) -> VerifyReport:
-    """Space-scaled transition asymptotics at spatial scale x sqrt(n).
-
-    Checks the off-diagonal law from the origin along all of n_list and
-    the diagonal law at the largest n, plus two structural rows: the
-    origin formula must coincide with the scaled Bessel marginal
-    density, and must integrate to 1 over x.
-    """
-    if x_real <= 0.0:
-        raise ValueError("x_real must be positive")
-    ns = _validate_horizons(n_list)
-    kernel = GegenbauerKernel(idx, mu)
-    _require_aperiodic(kernel)
-    a = idx.alpha
-    C = drift_constant(idx, mu)
-
-    laws0 = n_step_sequence(kernel, 0, ns)
-    pred10 = space_scaled_from_origin(idx, C, x_real)
-    rows = []
-    for n in ns:
-        m = int(x_real * math.sqrt(n))
-        rows.append(
-            _make_row(
-                f"origin:{n}",
-                math.sqrt(n) * laws0[n][m],
-                pred10,
-                ratio_window if n == ns[-1] else None,
-            )
-        )
-
-    n_top = ns[-1]
-    m_top = int(x_real * math.sqrt(n_top))
-    diag_law = n_step(kernel, m_top, n_top)
-    rows.append(
-        _make_row(
-            f"diagonal:{n_top}",
-            math.sqrt(n_top) * diag_law[m_top],
-            space_scaled_diagonal(idx, C, x_real),
-            ratio_window,
-        )
-    )
-
-    # structural consistency: the origin formula is the marginal density
-    # of the scaled Bessel endpoint sqrt(2C) B_1
-    s = math.sqrt(2.0 * C)
-    rows.append(
-        _make_row(
-            "origin-vs-marginal",
-            bessel_marginal_density(a, x_real / s) / s,
-            pred10,
-            (1.0 - 1e-9, 1.0 + 1e-9),
-        )
-    )
-    total, _ = quad(
-        lambda t: space_scaled_from_origin(idx, C, t), 0.0, np.inf, epsabs=1e-10
-    )
-    rows.append(_make_row("origin-normalization", total, 1.0, (1.0 - 1e-6, 1.0 + 1e-6)))
-
-    return VerifyReport(
-        theorem="space-scaled-llt",
-        params={
-            "alpha": a,
-            "mu": mu.as_dict(),
-            "x_real": x_real,
-            "n_list": ns,
-            "C": C,
-            "ratio_window": list(ratio_window),
-        },
-        rows=rows,
     )
 
 

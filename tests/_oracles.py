@@ -1,7 +1,10 @@
 """Independent reference computations used by the test suite.
 
 Everything here deliberately avoids the code paths under test: closed
-forms, quadrature, and brute-force enumeration only.
+forms, quadrature, and brute-force enumeration only.  The one exception
+is `eval_poly_table`, which runs the package's three-term recurrence in
+value space, where x acts pointwise; the kernel engine runs the same
+recurrence in coefficient space, where x acts as the Jacobi operator.
 """
 
 import math
@@ -107,6 +110,33 @@ def unit_step_lt_constant(alpha: float, y: int) -> float:
     return prod * math.gamma(-a) / (2 ** (a + 1) * math.gamma(y + 1) * math.gamma(a + 1))
 
 
+def eval_poly_table(idx, nmax: int, xs) -> np.ndarray:
+    """P_0 .. P_nmax of index idx.alpha at the points xs in [-1, 1].
+
+    Returns an array of shape (nmax+1, len(xs)); row n is P_n at xs.
+    """
+    from gegwalk.gegenbauer import _recurrence
+
+    if nmax < 0:
+        raise ValueError("eval_poly_table: nmax must be >= 0")
+    xs = np.asarray(xs, dtype=float)
+    if xs.size and (xs.min() < -1.0 or xs.max() > 1.0):
+        raise ValueError("eval_poly_table: points must lie in [-1, 1]")
+    rows = _recurrence(idx.alpha, nmax, np.ones(xs.size), lambda c, u: c * xs * u)
+    return np.array(list(rows))
+
+
+def space_scaled_from_origin(alpha: float, C: float, x: float) -> float:
+    """Limit of sqrt(n) p^(n)(0, floor(x sqrt n)), the Bessel-type density
+    x^(2a+1) e^(-x^2/4C) / (2^(2a+1) C^(a+1) Gamma(a+1))."""
+    a = alpha
+    return (
+        x ** (2.0 * a + 1.0)
+        * math.exp(-x * x / (4.0 * C))
+        / (2.0 ** (2.0 * a + 1.0) * C ** (a + 1.0) * math.gamma(a + 1.0))
+    )
+
+
 def linearization_by_projection(alpha: float, m: int, n: int) -> dict:
     """Product expansion coefficients via weighted quadrature projection.
 
@@ -115,7 +145,7 @@ def linearization_by_projection(alpha: float, m: int, n: int) -> dict:
     """
     from scipy.special import roots_jacobi
 
-    from gegwalk.gegenbauer import HypergroupIndex, eval_poly_table, weight
+    from gegwalk.gegenbauer import HypergroupIndex, weight
 
     idx = HypergroupIndex(alpha)
     nodes, wts = roots_jacobi(2 * (n + m) + 16, alpha, alpha)

@@ -14,12 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from gegwalk.gegenbauer import (
-    HypergroupIndex,
-    eval_poly_table,
-    linearization,
-    weight,
-)
+from gegwalk.gegenbauer import HypergroupIndex, linearization, weight
 from gegwalk.hypergroup import (
     GegenbauerKernel,
     SparseMeasure,
@@ -27,19 +22,16 @@ from gegwalk.hypergroup import (
     n_step,
 )
 from gegwalk.specfun import gamma_fn, ml_density, ml_function, ml_moment, ml_sample
-from gegwalk.verify import (
-    check_llt,
-    ks_statistic,
-    local_time_scale_constant,
-    space_scaled_from_origin,
-)
+from gegwalk.verify import check_llt, ks_statistic, local_time_scale_constant
 from gegwalk.walk_sim import WalkConfig, local_time_counts
 
 from _oracles import (
+    eval_poly_table,
     exact_return_probabilities,
     linearization_by_projection,
     local_time_moments,
     reflected_walk_law,
+    space_scaled_from_origin,
 )
 
 CHEB = HypergroupIndex(-0.5)
@@ -244,12 +236,12 @@ def test_criterion_08_space_scaled_profile():
     for x in (0.5, 1.0, 2.0):
         m = int(x * math.sqrt(n))
         val = math.sqrt(n) * law[m]
-        pred = space_scaled_from_origin(QUARTER, C, x)
+        pred = space_scaled_from_origin(QUARTER.alpha, C, x)
         assert abs(val / pred - 1.0) <= 0.10, (
             f"x={x}: sqrt(n) p^(n)(0,{m}) / prediction = {val / pred:.4f}"
         )
     total, _ = quad(
-        lambda t: space_scaled_from_origin(QUARTER, C, t), 0.0, np.inf,
+        lambda t: space_scaled_from_origin(QUARTER.alpha, C, t), 0.0, np.inf,
         epsabs=1e-9,
     )
     assert abs(total - 1.0) <= 1e-6, f"density integrates to {total!r}"

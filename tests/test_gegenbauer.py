@@ -8,19 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gegwalk.errors import QuadratureError
-from gegwalk.gegenbauer import (
-    HypergroupIndex,
-    LinearizationRow,
-    eval_poly,
-    eval_poly_table,
-    linearization,
-    orthogonality_integral,
-    weight,
-)
+from scipy.special import roots_jacobi
+
+from gegwalk.gegenbauer import HypergroupIndex, linearization, weight
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step
 
 import _oracles as orc
+from _oracles import eval_poly_table
 
 alphas = st.floats(min_value=-0.5, max_value=3.0)
 
@@ -38,12 +32,13 @@ class TestHypergroupIndex:
 
 
 class TestEvalPoly:
+    # the recurrence in value space, through the tests' eval_poly_table
     @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 1.5])
     @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 0.7, 1.0])
     def test_base_cases(self, alpha, x):
-        idx = HypergroupIndex(alpha)
-        assert eval_poly(idx, 0, x) == 1.0
-        assert eval_poly(idx, 1, x) == x
+        table = eval_poly_table(HypergroupIndex(alpha), 1, np.array([x]))
+        assert table[0, 0] == 1.0
+        assert table[1, 0] == x
 
     def test_chebyshev_cosine_identity(self):
         # at alpha = -1/2 the recurrence is the cosine addition law
@@ -55,23 +50,23 @@ class TestEvalPoly:
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.1, 0.4, 2.0])
     def test_degree_two_closed_form(self, alpha):
-        idx = HypergroupIndex(alpha)
-        for x in (-0.8, 0.1, 0.99):
+        xs = np.array([-0.8, 0.1, 0.99])
+        got = eval_poly_table(HypergroupIndex(alpha), 2, xs)[2]
+        for x, p2 in zip(xs, got):
             ref = ((2 * alpha + 3) * x * x - 1.0) / (2 * alpha + 2)
-            assert eval_poly(idx, 2, x) == pytest.approx(ref, abs=1e-14)
+            assert p2 == pytest.approx(ref, abs=1e-14)
 
     @given(alphas, st.integers(min_value=0, max_value=120), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=80)
     def test_parity(self, alpha, n, x):
-        idx = HypergroupIndex(alpha)
-        assert eval_poly(idx, n, -x) == pytest.approx(
-            (-1) ** n * eval_poly(idx, n, x), abs=1e-12
-        )
+        table = eval_poly_table(HypergroupIndex(alpha), n, np.array([-x, x]))
+        assert table[n, 0] == pytest.approx((-1) ** n * table[n, 1], abs=1e-12)
 
     @given(alphas, st.integers(min_value=0, max_value=300))
     @settings(max_examples=80)
     def test_endpoint_one(self, alpha, n):
-        assert eval_poly(HypergroupIndex(alpha), n, 1.0) == pytest.approx(1.0, abs=1e-10)
+        table = eval_poly_table(HypergroupIndex(alpha), n, np.array([1.0]))
+        assert table[n, 0] == pytest.approx(1.0, abs=1e-10)
 
     @given(
         st.floats(min_value=-0.49, max_value=3.0),
@@ -80,22 +75,15 @@ class TestEvalPoly:
     )
     @settings(max_examples=120)
     def test_strict_interior_bound(self, alpha, n, x):
-        assert abs(eval_poly(HypergroupIndex(alpha), n, x)) < 1.0 + 1e-10
+        table = eval_poly_table(HypergroupIndex(alpha), n, np.array([x]))
+        assert abs(table[n, 0]) < 1.0 + 1e-10
 
     def test_domain_errors(self):
         idx = HypergroupIndex(0.0)
         with pytest.raises(ValueError):
-            eval_poly(idx, 3, 1.0001)
+            eval_poly_table(idx, 3, np.array([1.0001]))
         with pytest.raises(ValueError):
-            eval_poly(idx, -1, 0.5)
-
-    def test_table_matches_scalar(self):
-        idx = HypergroupIndex(0.3)
-        xs = np.linspace(-1.0, 1.0, 17)
-        table = eval_poly_table(idx, 25, xs)
-        for n in (0, 1, 7, 25):
-            for j, x in enumerate(xs):
-                assert table[n, j] == eval_poly(idx, n, float(x))
+            eval_poly_table(idx, -1, np.array([0.5]))
 
 
 class TestWeight:
@@ -118,31 +106,33 @@ class TestWeight:
 
 
 class TestOrthogonality:
+    # weight(idx, n) against Gauss-Jacobi integrals of P_n P_m for the
+    # measure (1-x^2)^alpha dx; the rule is exact for the integrand degree
+    @staticmethod
+    def _integral(idx, n, m):
+        nodes, wts = roots_jacobi(2 * max(n, m) + 24, idx.alpha, idx.alpha)
+        table = eval_poly_table(idx, max(n, m), nodes)
+        return float(np.sum(wts * table[n] * table[m]))
+
     def test_off_diagonal_zero(self):
-        assert abs(orthogonality_integral(HypergroupIndex(0.0), 1, 2)) < 1e-10
+        assert abs(self._integral(HypergroupIndex(0.0), 1, 2)) < 1e-10
 
     def test_chebyshev_diagonal(self):
-        assert orthogonality_integral(HypergroupIndex(-0.5), 1, 1) == pytest.approx(
+        assert self._integral(HypergroupIndex(-0.5), 1, 1) == pytest.approx(
             math.pi / 2.0, rel=1e-12
         )
 
     def test_diagonal_is_inverse_weight(self):
         idx = HypergroupIndex(0.5)
-        assert orthogonality_integral(idx, 3, 3) == pytest.approx(
-            1.0 / weight(idx, 3), abs=1e-8
-        )
+        assert self._integral(idx, 3, 3) == pytest.approx(1.0 / weight(idx, 3), abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.3, 0.0, 1.0])
     def test_diagonal_sweep(self, alpha):
         idx = HypergroupIndex(alpha)
         for n in (0, 1, 4, 17, 60):
-            assert orthogonality_integral(idx, n, n) == pytest.approx(
+            assert self._integral(idx, n, n) == pytest.approx(
                 1.0 / weight(idx, n), rel=1e-9
             )
-
-    def test_degree_envelope(self):
-        with pytest.raises(ValueError):
-            orthogonality_integral(HypergroupIndex(0.0), 201, 0)
 
 
 class TestLinearization:
@@ -198,10 +188,9 @@ class TestLinearization:
             x = math.cos(theta)
             for m, n in ((3, 5), (8, 11)):
                 row = linearization(idx, m, n)
-                lhs = sum(c * eval_poly(idx, k, x) for k, c in row.coeffs.items())
-                assert lhs == pytest.approx(
-                    eval_poly(idx, m, x) * eval_poly(idx, n, x), abs=1e-10
-                )
+                table = eval_poly_table(idx, m + n, np.array([x]))[:, 0]
+                lhs = sum(c * table[k] for k, c in row.coeffs.items())
+                assert lhs == pytest.approx(table[m] * table[n], abs=1e-10)
 
     def test_cached_row_identical(self):
         idx = HypergroupIndex(0.6)
@@ -253,5 +242,8 @@ class TestRecurrenceBits:
         idx = HypergroupIndex(-0.25)
         for mu in ({1: 1.0}, {1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.5, 5: 0.25}):
             law = n_step(GegenbauerKernel(idx, SparseMeasure(mu)), 3, 60)
-            digest.update(law.as_array().tobytes())
+            dense = np.zeros(law.max_state + 1)
+            for s, m in law.items():
+                dense[s] = m
+            digest.update(dense.tobytes())
         assert digest.hexdigest() == N_STEP_SHA256

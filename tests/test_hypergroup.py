@@ -6,26 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from gegwalk.errors import StateCapError
-from gegwalk.gegenbauer import HypergroupIndex, eval_poly
+from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, weight
 from gegwalk.hypergroup import (
     DEFAULT_STATE_CAP,
     GegenbauerKernel,
     SparseMeasure,
-    classify,
-    convolve,
+    _clamp_roundoff,
     drift_constant,
-    fourier,
-    inverse_fourier,
-    is_gegenbauer_walk,
     kernel_row,
     n_step,
     n_step_sequence,
-    transition_matrix,
 )
 
-from _oracles import reflected_return_probability, reflected_walk_law
+from _oracles import eval_poly_table, reflected_return_probability, reflected_walk_law
 
 CHEB = HypergroupIndex(-0.5)
 QUARTER = HypergroupIndex(-0.25)
@@ -47,12 +43,106 @@ def prob_measures(draw, max_state=12, max_atoms=4):
 alphas = st.sampled_from([-0.5, -0.25, 0.0, 0.7, 2.0])
 
 
+def _dense(m: SparseMeasure, length: int | None = None) -> np.ndarray:
+    """The masses of m as a vector indexed by state."""
+    out = np.zeros(m.max_state + 1 if length is None else length)
+    for s, v in m.items():
+        if s < out.size:
+            out[s] = v
+    return out
+
+
+def _convolve(idx: HypergroupIndex, mu: SparseMeasure, nu: SparseMeasure) -> SparseMeasure:
+    """Generalized convolution mu * nu of two probability measures.
+
+    The operands are ordered canonically before the sweep (smaller max
+    support drives the Jacobi recurrence), so both argument orders run
+    the identical computation and commutativity holds bit for bit.
+    """
+
+    def order_key(m: SparseMeasure):
+        return (m.max_state, m.support, tuple(v for _, v in m.items()))
+
+    if order_key(mu) > order_key(nu):
+        mu, nu = nu, mu
+    out = _poly_apply(idx.alpha, list(mu.items()), _dense(nu))
+    return SparseMeasure.from_array(_clamp_roundoff(out), total_tol=1e-10)
+
+
 def _n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """delta_x * mu^(n) by repeated measure convolution, the slow cross-check."""
     power = SparseMeasure.point(0)
     for _ in range(n):
-        power = convolve(kernel.idx, power, kernel.step_measure)
-    return convolve(kernel.idx, SparseMeasure.point(x), power)
+        power = _convolve(kernel.idx, power, kernel.step_measure)
+    return _convolve(kernel.idx, SparseMeasure.point(x), power)
+
+
+def _fourier(idx: HypergroupIndex, mu: SparseMeasure, theta: float) -> float:
+    """Generalized Fourier transform sum_n mu(n) P_n(cos theta)."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError("fourier: theta must lie in [0, pi]")
+    table = eval_poly_table(idx, mu.max_state, np.array([math.cos(theta)]))
+    return math.fsum(m * table[s, 0] for s, m in mu.items())
+
+
+def _inverse_fourier(idx: HypergroupIndex, f, n: int) -> float:
+    """w_n * integral of f(theta) P_n(cos theta) sin^(2a+1)(theta) dtheta
+    over [0, pi], by the 256-node Gauss-Jacobi rule for (1-x^2)^alpha in
+    x = cos theta: exact when f is a polynomial in cos theta of degree
+    below 512 - n.
+    """
+    nodes, wts = roots_jacobi(256, idx.alpha, idx.alpha)
+    pn = eval_poly_table(idx, n, nodes)[n]
+    fv = np.array([f(math.acos(t)) for t in nodes])
+    return weight(idx, n) * float(np.sum(wts * fv * pn))
+
+
+def _transition_matrix(kernel: GegenbauerKernel, nmax: int) -> np.ndarray:
+    """Dense kernel rows 0..nmax, columns truncated to 0..nmax."""
+    return np.array([_dense(kernel_row(kernel, x), nmax + 1) for x in range(nmax + 1)])
+
+
+def _cross_relation_residual(P: np.ndarray, lam: float) -> float:
+    """Largest violation of the relation that characterizes Gegenbauer walks.
+
+    For interior states i and columns j, with lam in [0, 1/2],
+
+        i/(2(i+lam)) p(i-1,j) + (i+2lam)/(2(i+lam)) p(i+1,j)
+          = (j+2lam-1)/(2(j+lam-1)) p(i,j-1) + (j+1)/(2(j+lam+1)) p(i,j+1)
+
+    holds if and only if the kernel is delta_x * mu for some step mu.  At
+    j = 0 the left neighbor term is dropped; at j = 1 with lam = 0 its
+    coefficient is the 0/0 limit, 1.  The last two rows and columns are
+    excluded, since truncation makes them unreliable.
+    """
+    if not 0.0 <= lam <= 0.5:
+        raise ValueError("lam must lie in [0, 1/2]")
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError("transition must be a square matrix")
+    N = P.shape[0] - 1
+    if N < 4:
+        raise ValueError("need at least states 0..4")
+    body = P[: N - 1]
+    if body.min() < -1e-12:
+        raise ValueError("negative transition probability")
+    if np.abs(body.sum(axis=1) - 1.0).max() > 1e-8:
+        raise ValueError("rows are not probability vectors")
+    i = np.arange(1, N - 2)[:, None].astype(float)
+    j_int = np.arange(0, N - 1)
+    j = j_int[None, :].astype(float)
+    lhs = (i / (2 * (i + lam))) * P[0 : N - 3, 0 : N - 1] + (
+        (i + 2 * lam) / (2 * (i + lam))
+    ) * P[2 : N - 1, 0 : N - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_left = (j + 2 * lam - 1.0) / (2 * (j + lam - 1.0))
+    c_left[:, j_int == 0] = 0.0
+    if lam == 0.0:
+        c_left[:, j_int == 1] = 1.0
+    p_left = np.zeros_like(lhs)
+    p_left[:, 1:] = P[1 : N - 2, 0 : N - 2]
+    rhs = c_left * p_left + ((j + 1.0) / (2 * (j + lam + 1.0))) * P[1 : N - 2, 1:N]
+    return float(np.abs(lhs - rhs).max())
 
 
 def tv_distance(a: SparseMeasure, b: SparseMeasure) -> float:
@@ -113,7 +203,7 @@ class TestSparseMeasure:
         sparse = SparseMeasure({0: 0.25, 100: 0.75})
         for m in (dense, sparse):
             assert m.total == pytest.approx(1.0, abs=1e-12)
-            arr = m.as_array()
+            arr = _dense(m)
             assert arr.shape == (m.max_state + 1,)
             for s in m.support:
                 assert arr[s] == m[s]
@@ -203,14 +293,15 @@ class TestKernelConstruction:
 
 
 class TestConvolve:
+    # the reference convolution behind _n_step_by_convolution
     def test_identity_element(self):
         delta0 = SparseMeasure.point(0)
         m = SparseMeasure({1: 0.5, 4: 0.5})
-        assert convolve(QUARTER, delta0, m) == m
-        assert convolve(QUARTER, m, delta0) == m
+        assert _convolve(QUARTER, delta0, m) == m
+        assert _convolve(QUARTER, m, delta0) == m
 
     def test_delta1_squared(self):
-        out = convolve(QUARTER, DELTA1, DELTA1)
+        out = _convolve(QUARTER, DELTA1, DELTA1)
         # delta_1 * delta_1 splits over {0, 2} with the degree-1 Jacobi weights
         a = QUARTER.alpha
         expected0 = 1.0 / (2 * a + 3)
@@ -219,7 +310,7 @@ class TestConvolve:
         assert out[2] == pytest.approx(1 - expected0, abs=1e-15)
 
     def test_chebyshev_case_is_arithmetic_mean(self):
-        out = convolve(CHEB, SparseMeasure.point(2), SparseMeasure.point(5))
+        out = _convolve(CHEB, SparseMeasure.point(2), SparseMeasure.point(5))
         assert out[3] == pytest.approx(0.5, abs=1e-15)
         assert out[7] == pytest.approx(0.5, abs=1e-15)
 
@@ -227,8 +318,8 @@ class TestConvolve:
     @settings(max_examples=60, deadline=None)
     def test_commutative_bit_exact(self, a, mu, nu):
         idx = HypergroupIndex(a)
-        left = convolve(idx, mu, nu)
-        right = convolve(idx, nu, mu)
+        left = _convolve(idx, mu, nu)
+        right = _convolve(idx, nu, mu)
         assert left.support == right.support
         for s in left.support:
             assert left[s] == right[s]
@@ -236,7 +327,7 @@ class TestConvolve:
     @given(alphas, prob_measures(max_state=6), prob_measures(max_state=6))
     @settings(max_examples=40, deadline=None)
     def test_result_is_probability(self, a, mu, nu):
-        out = convolve(HypergroupIndex(a), mu, nu)
+        out = _convolve(HypergroupIndex(a), mu, nu)
         assert all(v >= 0.0 for _, v in out.items())
         assert abs(math.fsum(v for _, v in out.items()) - 1.0) < 1e-10
 
@@ -332,8 +423,7 @@ class TestNStep:
         k = GegenbauerKernel(QUARTER, DELTA1)
         law = n_step(k, 0, 17)
         assert all(s % 2 == 1 for s in law.support)
-        arr = law.as_array()
-        assert all(arr[s] == 0.0 for s in range(0, 18, 2))
+        assert all(law[s] == 0.0 for s in range(0, 18, 2))
 
     def test_state_cap(self):
         # refused before any iteration: the support could reach 2 * n + 1 states
@@ -359,16 +449,19 @@ class TestNStep:
 
 
 class TestFourier:
+    # the product formula: _poly_apply in coefficient space against
+    # pointwise products of the recurrence in value space
     @given(prob_measures())
     @settings(max_examples=40, deadline=None)
     def test_value_at_zero(self, mu):
-        assert fourier(QUARTER, mu, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert _fourier(QUARTER, mu, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_transform(self):
+        # at alpha = -1/2 the transform of delta_n is cos(n theta)
         for n in (0, 1, 3, 6):
             for theta in (0.1, 1.0, 2.5):
-                assert fourier(QUARTER, SparseMeasure.point(n), theta) == pytest.approx(
-                    eval_poly(QUARTER, n, math.cos(theta)), abs=1e-14
+                assert _fourier(CHEB, SparseMeasure.point(n), theta) == pytest.approx(
+                    math.cos(n * theta), abs=1e-14
                 )
 
     @given(alphas, prob_measures(max_state=8), prob_measures(max_state=8),
@@ -376,52 +469,47 @@ class TestFourier:
     @settings(max_examples=60, deadline=None)
     def test_multiplicative_under_convolution(self, a, mu, nu, theta):
         idx = HypergroupIndex(a)
-        lhs = fourier(idx, convolve(idx, mu, nu), theta)
-        rhs = fourier(idx, mu, theta) * fourier(idx, nu, theta)
+        lhs = _fourier(idx, _convolve(idx, mu, nu), theta)
+        rhs = _fourier(idx, mu, theta) * _fourier(idx, nu, theta)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @given(alphas, prob_measures(), st.floats(0.0, math.pi))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_one(self, a, mu, theta):
-        assert abs(fourier(HypergroupIndex(a), mu, theta)) <= 1.0 + 1e-12
+        assert abs(_fourier(HypergroupIndex(a), mu, theta)) <= 1.0 + 1e-12
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
-            fourier(QUARTER, MIX, -0.1)
+            _fourier(QUARTER, MIX, -0.1)
         with pytest.raises(ValueError):
-            fourier(QUARTER, MIX, math.pi + 0.1)
+            _fourier(QUARTER, MIX, math.pi + 0.1)
 
 
 class TestInverseFourier:
     def test_point_mass_round_trip(self):
-        f = lambda theta: fourier(QUARTER, SparseMeasure.point(2), theta)
-        assert inverse_fourier(QUARTER, f, 2) == pytest.approx(1.0, abs=1e-8)
-        assert inverse_fourier(QUARTER, f, 3) == pytest.approx(0.0, abs=1e-8)
-        assert inverse_fourier(QUARTER, f, 4) == pytest.approx(0.0, abs=1e-8)
+        f = lambda theta: _fourier(QUARTER, SparseMeasure.point(2), theta)
+        assert _inverse_fourier(QUARTER, f, 2) == pytest.approx(1.0, abs=1e-8)
+        assert _inverse_fourier(QUARTER, f, 3) == pytest.approx(0.0, abs=1e-8)
+        assert _inverse_fourier(QUARTER, f, 4) == pytest.approx(0.0, abs=1e-8)
 
     def test_mixture_round_trip(self):
-        f = lambda theta: fourier(QUARTER, MIX, theta)
-        assert inverse_fourier(QUARTER, f, 1) == pytest.approx(0.5, abs=1e-8)
-        assert inverse_fourier(QUARTER, f, 2) == pytest.approx(0.5, abs=1e-8)
+        f = lambda theta: _fourier(QUARTER, MIX, theta)
+        assert _inverse_fourier(QUARTER, f, 1) == pytest.approx(0.5, abs=1e-8)
+        assert _inverse_fourier(QUARTER, f, 2) == pytest.approx(0.5, abs=1e-8)
 
     def test_transform_power_recovers_walk_law(self):
         # spectral route vs direct iteration, two ways through the theory
         k = GegenbauerKernel(QUARTER, MIX)
         n = 100
         law = n_step(k, 0, n)
-        f = lambda theta: fourier(QUARTER, MIX, theta) ** n
+        f = lambda theta: _fourier(QUARTER, MIX, theta) ** n
         for state in range(21):
-            assert inverse_fourier(QUARTER, f, state) == pytest.approx(
+            assert _inverse_fourier(QUARTER, f, state) == pytest.approx(
                 law[state], abs=1e-7
             )
 
 
 class TestClassification:
-    def test_classify(self):
-        assert classify(CHEB) == "recurrent"
-        assert classify(HypergroupIndex(0.0)) == "recurrent"
-        assert classify(HypergroupIndex(0.3)) == "transient"
-
     def test_drift_constant_unit_step(self):
         for a in (-0.5, -0.25, 0.0, 1.5):
             assert drift_constant(HypergroupIndex(a), DELTA1) == pytest.approx(
@@ -436,56 +524,44 @@ class TestClassification:
 
 
 class TestMembership:
+    # kernel rows satisfy the cross-relation that characterizes the walks
     def test_unit_step_kernel_is_member(self):
-        k = GegenbauerKernel(QUARTER, DELTA1)
-        P = transition_matrix(k, 40)
-        res = is_gegenbauer_walk(P, lam=0.25)
-        assert res.is_member
-        assert res.max_residual < 1e-12
-        assert res.recovered_step == DELTA1
+        P = _transition_matrix(GegenbauerKernel(QUARTER, DELTA1), 40)
+        assert _cross_relation_residual(P, lam=0.25) < 1e-12
+        assert SparseMeasure.from_array(P[0], total_tol=1e-8) == DELTA1
 
     def test_mixture_kernel_is_member(self):
-        k = GegenbauerKernel(QUARTER, MIX)
-        P = transition_matrix(k, 40)
-        res = is_gegenbauer_walk(P, lam=0.25)
-        assert res.is_member
-        assert res.recovered_step == MIX
+        P = _transition_matrix(GegenbauerKernel(QUARTER, MIX), 40)
+        assert _cross_relation_residual(P, lam=0.25) <= 1e-10
+        assert SparseMeasure.from_array(P[0], total_tol=1e-8) == MIX
 
     def test_chebyshev_kernel_at_lambda_zero(self):
         # lam = 0 exercises the removable singularity in the column-one weight
-        k = GegenbauerKernel(CHEB, DELTA1)
-        P = transition_matrix(k, 30)
-        res = is_gegenbauer_walk(P, lam=0.0)
-        assert res.is_member
-        assert res.max_residual < 1e-12
+        P = _transition_matrix(GegenbauerKernel(CHEB, DELTA1), 30)
+        assert _cross_relation_residual(P, lam=0.0) < 1e-12
 
     def test_perturbed_kernel_rejected(self):
-        k = GegenbauerKernel(QUARTER, DELTA1)
-        P = transition_matrix(k, 40)
-        P = P.copy()
+        P = _transition_matrix(GegenbauerKernel(QUARTER, DELTA1), 40)
         P[3, 4] += 1e-3
         P[3, 2] -= 1e-3
-        res = is_gegenbauer_walk(P, lam=0.25)
-        assert not res.is_member
-        assert res.max_residual > 1e-5
+        assert _cross_relation_residual(P, lam=0.25) > 1e-5
 
     def test_wrong_lambda_rejected(self):
-        k = GegenbauerKernel(QUARTER, DELTA1)
-        P = transition_matrix(k, 40)
-        assert not is_gegenbauer_walk(P, lam=0.4).is_member
+        P = _transition_matrix(GegenbauerKernel(QUARTER, DELTA1), 40)
+        assert _cross_relation_residual(P, lam=0.4) > 1e-10
 
     def test_lambda_range_enforced(self):
-        P = transition_matrix(GegenbauerKernel(QUARTER, DELTA1), 10)
+        P = _transition_matrix(GegenbauerKernel(QUARTER, DELTA1), 10)
         for lam in (-0.1, 0.6):
             with pytest.raises(ValueError):
-                is_gegenbauer_walk(P, lam=lam)
+                _cross_relation_residual(P, lam=lam)
 
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValueError):
-            is_gegenbauer_walk(np.ones((3, 4)), lam=0.25)
+            _cross_relation_residual(np.ones((3, 4)), lam=0.25)
         with pytest.raises(ValueError):
-            is_gegenbauer_walk(np.eye(3), lam=0.25)  # too small to test
+            _cross_relation_residual(np.eye(3), lam=0.25)  # too small to test
         bad = np.zeros((10, 10))
         bad[0, 1] = 0.7  # rows do not sum to one
         with pytest.raises(ValueError):
-            is_gegenbauer_walk(bad, lam=0.25)
+            _cross_relation_residual(bad, lam=0.25)

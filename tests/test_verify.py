@@ -6,23 +6,30 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from gegwalk.gegenbauer import HypergroupIndex, weight
-from gegwalk.hypergroup import SparseMeasure, drift_constant
-from gegwalk.specfun import MittagLefflerDist, gamma_fn, ml_moment, ml_sample
+from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step
+from gegwalk.specfun import (
+    MittagLefflerDist,
+    bessel_i,
+    bessel_marginal_density,
+    gamma_fn,
+    ml_moment,
+    ml_sample,
+)
 from gegwalk.verify import (
     ReportRow,
     VerifyReport,
     check_llt,
     check_local_time_limit,
-    check_space_scaled_llt,
     ks_statistic,
     llt_prediction,
     local_time_scale,
     local_time_scale_constant,
-    space_scaled_from_origin,
 )
 
-from _oracles import unit_step_lt_constant
+from _oracles import space_scaled_from_origin, unit_step_lt_constant
 
 CHEB = HypergroupIndex(-0.5)
 QUARTER = HypergroupIndex(-0.25)
@@ -39,7 +46,7 @@ class TestReportRow:
 
     def test_unwindowed_rows_are_informational(self):
         row = ReportRow("n", 9.0, 1.0, 9.0, None)
-        assert not row.checked
+        assert row.window is None
         assert row.passed
 
     def test_zero_prediction_rows(self):
@@ -65,18 +72,17 @@ class TestVerifyReport:
 
     def test_json_round_trip(self):
         r = self._failing_report()
-        back = VerifyReport.from_json(r.to_json())
-        assert back.theorem == r.theorem
-        assert back.params == r.params
-        assert back.rows == r.rows
-        assert back.notes == r.notes
-        assert back.verdict == "fail"
-
-    def test_verdict_recomputed_not_trusted(self):
-        doc = json.loads(self._failing_report().to_json())
-        doc["verdict"] = "pass"  # tampered
-        back = VerifyReport.from_json(json.dumps(doc))
-        assert back.verdict == "fail"
+        doc = json.loads(r.to_json())
+        assert doc["theorem"] == r.theorem
+        assert doc["params"] == r.params
+        rows = [
+            ReportRow(d["label"], d["value"], d["prediction"], d["ratio"],
+                      tuple(d["window"]) if d["window"] else None)
+            for d in doc["rows"]
+        ]
+        assert rows == r.rows
+        assert doc["notes"] == r.notes
+        assert doc["verdict"] == "fail"
 
     def test_csv_schema(self):
         text = self._failing_report().to_csv()
@@ -97,7 +103,7 @@ class TestAperiodicAsymptote:
         assert rep.notes["ratio_trend"] == "approaching-1"
         assert 0.95 <= rep.rows[-1].ratio <= 1.05
         # only the largest n is gated
-        assert [r.checked for r in rep.rows] == [False] * 6 + [True]
+        assert [r.window is not None for r in rep.rows] == [False] * 6 + [True]
 
     def test_off_origin_target(self):
         ns = [2**k for k in range(6, 13)]
@@ -152,7 +158,7 @@ class TestUnitStepAsymptote:
         assert rep.passed
         by_label = {r.label: r for r in rep.rows}
         assert by_label["1000"].prediction == 0.0
-        assert by_label["10001"].checked
+        assert by_label["10001"].window is not None
 
     def test_quarter_index(self):
         rep = check_llt(QUARTER, D1, 0, 0, [100, 1000, 10_000])
@@ -168,38 +174,36 @@ class TestUnitStepAsymptote:
 
 
 class TestSpaceScaled:
+    # sqrt(n) p^(n) at spatial scale x sqrt(n) against its limit densities
     def test_unit_spatial_scale(self):
-        rep = check_space_scaled_llt(QUARTER, MIX, 1.0, [1024, 4096])
-        assert rep.passed
-        labels = [r.label for r in rep.rows]
-        assert labels == [
-            "origin:1024",
-            "origin:4096",
-            "diagonal:4096",
-            "origin-vs-marginal",
-            "origin-normalization",
-        ]
+        n, x = 4096, 1.0
+        C = drift_constant(QUARTER, MIX)
+        kernel = GegenbauerKernel(QUARTER, MIX)
+        m = int(x * math.sqrt(n))
+        origin = math.sqrt(n) * n_step(kernel, 0, n)[m]
+        assert 0.9 <= origin / space_scaled_from_origin(QUARTER.alpha, C, x) <= 1.1
+        # the diagonal limit x/(2C) e^(-z) I_a(z) at z = x^2/(2C)
+        z = x * x / (2.0 * C)
+        diagonal = math.sqrt(n) * n_step(kernel, m, n)[m]
+        pred = x / (2.0 * C) * math.exp(-z) * bessel_i(QUARTER.alpha, z)
+        assert 0.9 <= diagonal / pred <= 1.1
 
     def test_structural_rows_are_tight(self):
-        rep = check_space_scaled_llt(CHEB, MIX, 0.5, [256, 1024])
-        by_label = {r.label: r for r in rep.rows}
-        assert abs(by_label["origin-vs-marginal"].ratio - 1.0) < 1e-9
-        assert abs(by_label["origin-normalization"].value - 1.0) < 1e-6
-
-    def test_rejects_nonpositive_x(self):
-        with pytest.raises(ValueError):
-            check_space_scaled_llt(QUARTER, MIX, 0.0, [64])
-        with pytest.raises(ValueError):
-            check_space_scaled_llt(QUARTER, MIX, -1.0, [64])
-
-    def test_rejects_periodic_step(self):
-        with pytest.raises(ValueError):
-            check_space_scaled_llt(QUARTER, D1, 1.0, [64])
+        # the origin density is the marginal density of the scaled Bessel
+        # endpoint sqrt(2C) B_1, and integrates to 1 over x
+        C = drift_constant(CHEB, MIX)
+        s = math.sqrt(2.0 * C)
+        marginal = bessel_marginal_density(CHEB.alpha, 0.5 / s) / s
+        assert abs(marginal / space_scaled_from_origin(CHEB.alpha, C, 0.5) - 1.0) < 1e-9
+        total, _ = quad(
+            lambda t: space_scaled_from_origin(CHEB.alpha, C, t), 0.0, np.inf, epsabs=1e-10
+        )
+        assert abs(total - 1.0) < 1e-6
 
     def test_origin_formula_value(self):
         # a = -1/2: x^0 e^(-x^2/(4C)) / (C^(1/2) Gamma(1/2))
         C = 0.75
-        got = space_scaled_from_origin(CHEB, C, 1.3)
+        got = space_scaled_from_origin(CHEB.alpha, C, 1.3)
         want = math.exp(-1.3**2 / (4 * C)) / (math.sqrt(C) * math.sqrt(math.pi))
         assert got == pytest.approx(want, rel=1e-14)
 
