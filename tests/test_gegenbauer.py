@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.special import roots_jacobi
 
 from gegwalk.gegenbauer import HypergroupIndex, linearization, weight

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-
 from scipy.integrate import quad
 
 from gegwalk.gegenbauer import HypergroupIndex, weight
@@ -191,14 +190,15 @@ class TestSpaceScaled:
     def test_structural_rows_are_tight(self):
         # the origin density is the marginal density of the scaled Bessel
         # endpoint sqrt(2C) B_1, and integrates to 1 over x
-        C = drift_constant(CHEB, MIX)
-        s = math.sqrt(2.0 * C)
-        marginal = bessel_marginal_density(CHEB.alpha, 0.5 / s) / s
-        assert abs(marginal / space_scaled_from_origin(CHEB.alpha, C, 0.5) - 1.0) < 1e-9
-        total, _ = quad(
-            lambda t: space_scaled_from_origin(CHEB.alpha, C, t), 0.0, np.inf, epsabs=1e-10
-        )
-        assert abs(total - 1.0) < 1e-6
+        for idx, x in ((CHEB, 0.5), (QUARTER, 1.0)):
+            a, C = idx.alpha, drift_constant(idx, MIX)
+            s = math.sqrt(2.0 * C)
+            marginal = bessel_marginal_density(a, x / s) / s
+            assert abs(marginal / space_scaled_from_origin(a, C, x) - 1.0) < 1e-9
+            total, _ = quad(
+                lambda t: space_scaled_from_origin(a, C, t), 0.0, np.inf, epsabs=1e-10
+            )
+            assert abs(total - 1.0) < 1e-6
 
     def test_origin_formula_value(self):
         # a = -1/2: x^0 e^(-x^2/(4C)) / (C^(1/2) Gamma(1/2))
