@@ -5,8 +5,10 @@ point masses, delta_m * delta_n = sum_k c(m,n,k) delta_k, with the
 linearization coefficients as weights.  Extended bilinearly this gives a
 transition kernel p(x, .) = delta_x * mu for any step measure mu.
 
-Exact n-step laws are computed by iterating the one-step operator on a
-dense coefficient vector.
+Exact n-step laws are computed by iterating the one-step operator on
+the live window of a dense coefficient vector: the states up to the last
+nonzero mass.  Everything past it is exactly zero, so skipping it leaves
+every bit of the laws unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Literal, Mapping
 import numpy as np
 
 from gegwalk.errors import ConsistencyError, StateCapError
-from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, linearization
+from gegwalk.gegenbauer import HypergroupIndex, _poly_operator, linearization
 
 __all__ = [
     "SparseMeasure",
@@ -84,7 +86,8 @@ class SparseMeasure:
     @classmethod
     def from_array(cls, masses: np.ndarray, **kwargs) -> "SparseMeasure":
         arr = np.asarray(masses, dtype=float)
-        return cls({i: float(v) for i, v in enumerate(arr) if v != 0.0}, **kwargs)
+        nz = np.flatnonzero(arr)
+        return cls(dict(zip(nz.tolist(), arr[nz].tolist())), **kwargs)
 
     # -- read access -------------------------------------------------
 
@@ -269,27 +272,34 @@ def _n_step_laws(
             f"n_step(x={x}, n={n}) exceeds the state cap {DEFAULT_STATE_CAP}",
             required=needed,
         )
-    a = kernel.idx.alpha
-    mu_items = list(kernel.step_measure.items())
-    v = np.zeros(x + 1)
+    smax = kernel.step_measure.max_state
+    apply = _poly_operator(kernel.idx.alpha, list(kernel.step_measure.items()), needed)
+    v, w = np.zeros(needed), np.empty(needed)  # ping-pong law buffers
     v[x] = 1.0
+    hi = x  # v[hi + 1:] is exactly zero, so each step runs on the live window v[:hi + 1]
     out: dict[int, SparseMeasure] = {}
     step = 0
     for target in horizons:
         while step < target:
-            v = _clamp_roundoff(_poly_apply(a, mu_items, v))
+            _clamp_roundoff(apply(v[: hi + 1], w))
+            v, w = w, v
+            hi += smax
+            while hi > 0 and v[hi] == 0.0:
+                hi -= 1
             step += 1
-        out[target] = SparseMeasure.from_array(v, total_tol=1e-10)
+        out[target] = SparseMeasure.from_array(v[: hi + 1], total_tol=1e-10)
     return out
 
 
 def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """Exact law of the walk after n steps started at x.
 
-    Applies the one-step operator n times to delta_x.  The support can
-    reach x + n * max(support of mu); if that exceeds DEFAULT_STATE_CAP
-    the computation refuses loudly rather than truncating, since
-    truncation would corrupt the far tail.  Round-off lets the total mass
+    Applies the one-step operator n times to delta_x, each time on the
+    live window [0, hi], where hi is the last state of nonzero mass, and
+    into two law buffers allocated once.  The support can reach
+    x + n * max(support of mu); if that exceeds DEFAULT_STATE_CAP the
+    computation refuses loudly, before allocating, rather than
+    truncating, since truncation would corrupt the far tail.  Round-off lets the total mass
     drift from 1 by O(n * eps); outputs are accepted within 1e-10.
     """
     return _n_step_laws(kernel, x, [n])[n]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from gegwalk.gegenbauer import HypergroupIndex, linearization, weight
+from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, linearization, weight
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step
 
 import _oracles as orc
@@ -207,6 +207,28 @@ class TestLinearization:
         assert row.support == (0, 4)
         with pytest.raises(TypeError):
             row.coeffs[0] = 0.9  # frozen mapping
+
+
+class TestNoAliasing:
+    # the recurrence reuses scratch buffers; none may show through a
+    # returned array or a cached row
+    def test_poly_apply_results_are_independent(self):
+        a = -0.25
+        v = np.linspace(1.0, 2.0, 40)
+        first = _poly_apply(a, [(1, 0.5), (2, 0.5)], v)
+        kept = first.copy()
+        second = _poly_apply(a, [(1, 0.25), (3, 0.75)], v[::-1].copy())
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_cached_row_survives_later_rows(self):
+        idx = HypergroupIndex(0.37)  # an alpha no other test builds rows for
+        row = linearization(idx, 6, 11)
+        kept = dict(row.coeffs)
+        for m in range(1, 9):
+            linearization(idx, m, 15 + m)
+        assert linearization(idx, 6, 11) is row
+        assert dict(row.coeffs) == kept
 
 
 # SHA-256 pins of the three-term recurrence in value space (eval_poly_table)

@@ -77,6 +77,27 @@ def _n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMe
     return _convolve(kernel.idx, SparseMeasure.point(x), power)
 
 
+def _full_length_laws(
+    kernel: GegenbauerKernel, x: int, horizons: list[int]
+) -> tuple[dict[int, SparseMeasure], dict[int, np.ndarray]]:
+    """The n-step loop before it ran on the live window: each step applies
+    _poly_apply and _clamp_roundoff to the whole vector of length
+    x + step * smax + 1.  Returns the laws and the vectors at the horizons.
+    """
+    a, mu_items = kernel.idx.alpha, list(kernel.step_measure.items())
+    v = np.zeros(x + 1)
+    v[x] = 1.0
+    laws, vectors = {}, {}
+    step = 0
+    for target in sorted(horizons):
+        while step < target:
+            v = _clamp_roundoff(_poly_apply(a, mu_items, v))
+            step += 1
+        laws[target] = SparseMeasure.from_array(v, total_tol=1e-10)
+        vectors[target] = v.copy()
+    return laws, vectors
+
+
 def _fourier(idx: HypergroupIndex, mu: SparseMeasure, theta: float) -> float:
     """Generalized Fourier transform sum_n mu(n) P_n(cos theta)."""
     if not 0.0 <= theta <= math.pi:
@@ -446,6 +467,32 @@ class TestNStep:
         assert sorted(laws) == [1, 4, 16, 64]
         for n, law in laws.items():
             assert tv_distance(law, n_step(k, 0, n)) == 0.0
+
+
+class TestLiveWindowBytes:
+    # the live window skips only entries that are exactly zero, so every
+    # law is byte-identical to the full-length loop
+    @pytest.mark.parametrize(
+        "alpha,mu,x,horizons",
+        [
+            (-0.25, MIX, 0, [64 * 2**k for k in range(6)]),
+            (-0.5, DELTA1, 3, [1, 2, 7, 50, 301]),
+            (1.3, SparseMeasure({0: 0.2, 1: 0.3, 3: 0.5}), 2, [1, 5, 40, 200]),
+            (0.0, MIX, 4, [0, 3, 100]),
+        ],
+    )
+    def test_matches_full_length_loop(self, alpha, mu, x, horizons):
+        k = GegenbauerKernel(HypergroupIndex(alpha), mu)
+        laws = n_step_sequence(k, x, horizons)
+        oracle, vectors = _full_length_laws(k, x, horizons)
+        assert sorted(laws) == sorted(oracle)
+        for n in horizons:
+            assert laws[n].to_csv() == oracle[n].to_csv()
+        if alpha == -0.25:
+            # the mixed step's far tail underflows to exact zeros, so the
+            # window is shorter than the full vector and the trim runs
+            v = vectors[horizons[-1]]
+            assert v[-1] == 0.0 and laws[horizons[-1]].max_state < v.size - 1
 
 
 class TestFourier:
