@@ -1,7 +1,7 @@
 """Special functions used throughout the package.
 
 Provides the Gamma function, Bessel functions J and I of real order > -1
-by ascending series, the Mittag-Leffler function
+(evaluated by mpmath), the Mittag-Leffler function
 
     E_a(x) = sum_{p>=0} (-x)^p / Gamma(a*p + 1),      0 < a <= 1,
 
@@ -40,14 +40,10 @@ __all__ = [
     "MittagLefflerDist",
 ]
 
-# Ascending series are truncated when three consecutive terms fall below
-# 1e-16 of the running sum, with a hard cap of 500 terms.
+# Mittag-Leffler series are cut after three consecutive negligible terms,
+# with a hard cap of 500 terms.
 _TERM_CAP = 500
 _QUIET_RUN = 3
-
-# Above this x the alternating Bessel J series loses too many digits in
-# float64; switch to the same series at elevated working precision.
-_J_SERIES_F64_CUTOFF = 12.0
 
 # Mittag-Leffler density below which `_density_cutoff` ends the tail.
 _TAIL_DENSITY = 1e-12
@@ -61,108 +57,36 @@ def gamma_fn(x: float) -> float:
     """
     if x <= 0.0 and float(x).is_integer():
         raise ValueError(f"gamma_fn: pole at non-positive integer x={x:g}")
+    return _or_inf(math.gamma, x)
+
+
+def _or_inf(fn: Callable[[float], float], x: float) -> float:
+    """fn(x), or inf where the result overflows float range."""
     try:
-        return math.gamma(x)
+        return fn(x)
     except OverflowError:
         return math.inf
 
 
-def _bessel_series_f64(order: float, x: float, sign: float) -> float:
-    # sum_k sign^k (x/2)^{order+2k} / (k! Gamma(order+k+1)); fsum at the end
-    # keeps the alternating case accurate.
-    h = 0.5 * x
-    t = math.exp(order * math.log(h) - math.lgamma(order + 1.0))
-    terms = [t]
-    s = t
-    q = sign * h * h
-    quiet = 0
-    for k in range(1, _TERM_CAP + 1):
-        t *= q / (k * (order + k))
-        terms.append(t)
-        s += t
-        if abs(t) < 1e-16 * abs(s):
-            quiet += 1
-            if quiet >= _QUIET_RUN:
-                break
-        else:
-            quiet = 0
-    return math.fsum(terms)
-
-
-def _bessel_series_mp(order: float, x: float, sign: int) -> float:
-    # Loss of significance in the alternating series is about x/ln(10)
-    # digits; pad the working precision accordingly.  The sum's rounding
-    # error is then about 10^-dps of its largest term, so the series is
-    # cut once terms fall below that, not below 10^-dps of the (much
-    # smaller) sum.
-    dps = 25 + int(0.45 * x)
-    with mp.workdps(dps):
-        h = mpf(x) / 2
-        t = h ** mpf(order) / mp.gamma(mpf(order) + 1)
-        s = t
-        peak = abs(t)
-        q = sign * h * h
-        quiet = 0
-        for k in range(1, _TERM_CAP + 1):
-            t *= q / (k * (mpf(order) + k))
-            s += t
-            peak = max(peak, abs(t))
-            if abs(t) < mpf(10) ** (-dps) * peak:
-                quiet += 1
-                if quiet >= _QUIET_RUN:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise ArithmeticError(
-                f"bessel_j: series did not converge within {_TERM_CAP} terms "
-                f"(order={order:g}, x={x:g})"
-            )
-        return float(s)
-
-
-def _bessel_at_zero(order: float) -> float:
-    if order == 0.0:
-        return 1.0
-    if order > 0.0:
-        return 0.0
-    # (x/2)^order diverges for order in (-1, 0)
-    return math.inf
-
-
 def bessel_j(order: float, x: float) -> float:
-    """Bessel function J_order(x) for order > -1, x >= 0.
-
-    Ascending series with term-ratio truncation, evaluated at elevated
-    working precision once cancellation in float64 would cost more than
-    1e-12 (x > 12); absolute error stays below 1e-12.  Past x of about
-    342 (a little more for larger order) the series needs more than its
-    500-term cap and ArithmeticError is raised.
-    """
-    if order <= -1.0:
+    """Bessel function J_order(x) for order > -1 and finite x >= 0, from mpmath."""
+    if not order > -1.0:
         raise ValueError("bessel_j: order must be > -1")
-    if x < 0.0:
-        raise ValueError("bessel_j: x must be >= 0")
-    if x == 0.0:
-        return _bessel_at_zero(order)
-    if x <= _J_SERIES_F64_CUTOFF:
-        return _bessel_series_f64(order, x, -1.0)
-    return _bessel_series_mp(order, x, -1)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"bessel_j: x must be finite and >= 0, got {x!r}")
+    return float(mp.besselj(order, x))
 
 
 def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function I_order(x) for order > -1, x >= 0.
+    """Modified Bessel function I_order(x) for order > -1 and finite x >= 0.
 
-    All series terms are positive, so plain float64 summation is accurate
-    to a few ulp at any x in range.
+    Evaluated by mpmath; a value past float range is inf.
     """
-    if order <= -1.0:
+    if not order > -1.0:
         raise ValueError("bessel_i: order must be > -1")
-    if x < 0.0:
-        raise ValueError("bessel_i: x must be >= 0")
-    if x == 0.0:
-        return _bessel_at_zero(order)
-    return _bessel_series_f64(order, x, 1.0)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"bessel_i: x must be finite and >= 0, got {x!r}")
+    return float(mp.besseli(order, x))
 
 
 def _certified_sum(
@@ -293,12 +217,18 @@ def ml_density(order: float, x: float) -> float:
 
 
 def ml_moment(order: float, p: int) -> float:
-    """p-th moment of the Mittag-Leffler distribution: p!/Gamma(order*p+1)."""
+    """p-th moment of the Mittag-Leffler distribution: p!/Gamma(order*p+1).
+
+    Past p = 170, where p! no longer fits a float, the ratio is taken in
+    log space; a moment past float range is inf.
+    """
     if not 0.0 < order <= 1.0:
         raise ValueError("ml_moment: order must lie in (0, 1]")
     if p < 0 or p != int(p):
         raise ValueError("ml_moment: p must be a nonnegative integer")
-    return math.factorial(int(p)) / gamma_fn(order * p + 1.0)
+    if p <= 170:
+        return math.factorial(int(p)) / gamma_fn(order * p + 1.0)
+    return _or_inf(math.exp, math.lgamma(p + 1.0) - math.lgamma(order * p + 1.0))
 
 
 def ml_sample(order: float, rng: np.random.Generator, size: int | None = None):
@@ -331,7 +261,8 @@ def ml_sample(order: float, rng: np.random.Generator, size: int | None = None):
 def bessel_marginal_density(index: float, x: float) -> float:
     """Time-1 marginal density of a Bessel-type diffusion started at 0.
 
-    f(x) = x^(2*index+1) exp(-x^2/2) / (2^index Gamma(index+1)) on x >= 0.
+    f(x) = x^(2*index+1) exp(-x^2/2) / (2^index Gamma(index+1)) on x >= 0,
+    evaluated in log space so that no factor overflows on its own.
     At index = -1/2 this is the half-normal density sqrt(2/pi) e^{-x^2/2}.
     """
     if index <= -1.0:
@@ -343,7 +274,8 @@ def bessel_marginal_density(index: float, x: float) -> float:
         if power == 0.0:
             return 1.0 / (2.0**index * gamma_fn(index + 1.0))
         return 0.0 if power > 0.0 else math.inf
-    return x**power * math.exp(-0.5 * x * x) / (2.0**index * gamma_fn(index + 1.0))
+    log_f = power * math.log(x) - 0.5 * x * x - index * math.log(2.0)
+    return _or_inf(math.exp, log_f - math.lgamma(index + 1.0))
 
 
 def _density_cutoff(order: float) -> float:

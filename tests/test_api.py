@@ -1,11 +1,16 @@
-"""Static guards on the package's surface, read from the sources by ast.
+"""Guards on the package's surface.
 
 A public name that nothing but the tests calls is dead weight in the
 library, and an import that nothing reads is noise; both are checked
-here without importing the package.
+from the sources by ast, without importing the package.  Importing the
+package and its CLI must not pull in scipy, which only the tests and
+scripts/ need: it would add about 0.3 s to every command's start-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +93,12 @@ def test_no_unused_module_imports(module):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [n for n in _imported_names(tree) if n not in used]
     assert not unused, f"gegwalk.{module.stem} imports names it never reads: {unused}"
+
+
+def test_import_pulls_in_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = "import sys, gegwalk, gegwalk.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False", "importing gegwalk imports scipy"

@@ -12,6 +12,8 @@ from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
 from gegwalk.walk_sim import WalkConfig, local_time_counts
 
+from _oracles import j_half
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -377,10 +379,15 @@ class TestSpecfun:
                            "--x", "nan")
         assert rc == 2 and out == "" and "finite" in err
 
-    def test_bessel_j_past_term_cap_is_exit_2(self, capsys):
-        rc, out, err = run(capsys, "specfun", "bessel-j", "--order", "0",
-                           "--x", "400")
-        assert rc == 2 and out == "" and "did not converge" in err
+    def test_bessel_j_at_400(self, capsys):
+        rc, out, _ = run(capsys, "specfun", "bessel-j", "--order", "0.5",
+                         "--x", "400", "--full-precision")
+        assert rc == 0 and float(out) == pytest.approx(j_half(400.0), abs=1e-12)
+
+    def test_ml_moment_past_factorial_float_range(self, capsys):
+        rc, out, _ = run(capsys, "specfun", "ml-moment", "--order", "1",
+                         "--p", "171")
+        assert rc == 0 and out == "1\n"
 
     def test_ml_function_nonconvergence_is_exit_2(self, capsys):
         rc, out, err = run(capsys, "specfun", "ml-function", "--order", "0.1",

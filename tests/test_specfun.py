@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
 
 from gegwalk import specfun as sf
@@ -102,16 +103,29 @@ class TestBesselJ:
     def test_largest_argument_in_range(self):
         assert sf.bessel_j(0.5, 300.0) == pytest.approx(orc.j_half(300.0), abs=1e-12)
 
-    def test_term_cap_raises_instead_of_truncating(self):
-        # the 500-term series cannot reach x = 400, where J_1/2 is -0.0339
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            sf.bessel_j(0.5, 400.0)
+    def test_half_integer_forms_far_out(self):
+        # beyond x = 342, the reach of a 500-term ascending series
+        for x in (400.0, 1000.0):
+            assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-12)
+            assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-12)
+
+    @pytest.mark.parametrize("x", np.linspace(0.0, 12.0, 49)[1:].tolist())
+    def test_half_integer_forms_to_1e14_through_12(self, x):
+        # float64 summation of the alternating series misses 1e-14 from x = 9.25
+        assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-14)
+        assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-14)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             sf.bessel_j(-1.0, 1.0)
         with pytest.raises(ValueError):
             sf.bessel_j(0.0, -0.1)
+
+    @pytest.mark.parametrize("fn", [sf.bessel_j, sf.bessel_i])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_refused(self, fn, x):
+        with pytest.raises(ValueError, match="finite"):
+            fn(0.5, x)
 
     @given(
         st.floats(min_value=0.0, max_value=5.0),
@@ -129,6 +143,10 @@ class TestBesselI:
 
     def test_minus_half_closed_form(self):
         assert sf.bessel_i(-0.5, 1.0) == pytest.approx(orc.i_minus_half(1.0), rel=1e-12)
+
+    def test_past_float_range_is_inf(self):
+        # I_0(800) is about 1e346; a float64 series sum raised OverflowError
+        assert sf.bessel_i(0.0, 800.0) == math.inf
 
     @pytest.mark.parametrize("x", np.linspace(0.1, 20.0, 41).tolist())
     def test_half_integer_forms_on_range(self, x):
@@ -274,6 +292,12 @@ class TestMLMoment:
             lhs = sf.ml_moment(order, p) * sf.gamma_fn(order * p + 1.0)
             assert lhs == pytest.approx(float(math.factorial(p)), rel=1e-12)
 
+    def test_past_factorial_float_range(self):
+        # 171! overflows a float; the moments themselves need not
+        assert sf.ml_moment(1.0, 171) == pytest.approx(1.0, rel=1e-12)
+        ref = float(mp.factorial(200) / mp.gamma(101))  # e^499.5
+        assert sf.ml_moment(0.5, 200) == pytest.approx(ref, rel=1e-12)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             sf.ml_moment(0.5, -1)
@@ -329,6 +353,20 @@ class TestBesselMarginalDensity:
             / (2 ** (2 * alpha + 1) * c ** (alpha + 1) * math.gamma(alpha + 1))
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_tiny_density_with_huge_power(self):
+        # x^401 alone overflows a float; the density is about 7.7e-141
+        ref = float(mp.mpf(40) ** 401 * mp.exp(-800) / (mp.mpf(2) ** 200 * mp.gamma(201)))
+        assert sf.bessel_marginal_density(200.0, 40.0) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("index", np.linspace(-0.5, 3.0, 15).tolist())
+    def test_matches_direct_product(self, index):
+        for x in np.linspace(0.0, 20.0, 81)[1:]:
+            direct = (
+                x ** (2 * index + 1) * math.exp(-0.5 * x * x)
+                / (2.0**index * math.gamma(index + 1.0))
+            )
+            assert sf.bessel_marginal_density(index, x) == pytest.approx(direct, rel=1e-13)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
