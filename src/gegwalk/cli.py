@@ -9,8 +9,9 @@ byte-identical output at any ``--threads``.
 
 Exit codes: 0 on success (and on a passing verification), 1 when a
 verification ran and failed, 2 for invalid flags or values.  `main` is
-the one error boundary: a UsageError, a StateCapError, or any
-ValueError or ArithmeticError from the library (such as a
+the one error boundary: a UsageError, any GegwalkError from the library
+(a StateCapError, or a ConsistencyError such as an exact law whose mass
+drifts from 1), or any ValueError or ArithmeticError (such as a
 special-function series that does not converge within its term cap)
 becomes ``gegwalk: <message>`` on stderr and exit code 2.
 """
@@ -23,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import StateCapError
+from .errors import GegwalkError
 from .gegenbauer import HypergroupIndex
 from .hypergroup import GegenbauerKernel, SparseMeasure, n_step
 from .specfun import (
@@ -238,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact n-step law of the walk",
         description="Exact n-step law p^(n)(x, .) computed by iterating "
                     "the convolution kernel; rows are probability vectors "
-                    "on the nonnegative integers, sorted by state.",
+                    "on the nonnegative integers, sorted by state.  Trailing "
+                    "masses below 2^-1022 are flushed to zero at each step; "
+                    "the law is off by at most n (x + n max(mu) + 1) 2^-1022 "
+                    "in l1.",
     )
     _add_model(sp)
     sp.add_argument("--x", type=int, required=True, help="start state")
@@ -347,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, StateCapError, ValueError, ArithmeticError) as e:
+    except (UsageError, GegwalkError, ValueError, ArithmeticError) as e:
         print(f"gegwalk: {e}", file=sys.stderr)
         return 2
 

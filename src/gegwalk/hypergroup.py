@@ -7,8 +7,14 @@ transition kernel p(x, .) = delta_x * mu for any step measure mu.
 
 Exact n-step laws are computed by iterating the one-step operator on
 the live window of a dense coefficient vector: the states up to the last
-nonzero mass.  Everything past it is exactly zero, so skipping it leaves
-every bit of the laws unchanged.
+mass of at least tau = 2^-1022, the smallest normal double.  After each
+step the trailing masses below tau are flushed to zero, so a transient
+walk's far tail underflows instead of sitting in subnormals, which are
+slow to compute with.  Everything past the window is exactly zero.  The
+one-step operator is a positive l1 contraction, so the flushed total
+bounds the l1 distance of every law from the unflushed iteration; a
+priori it is at most n * (x + n * smax + 1) * tau, below 3e-296 under
+the state cap.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 1_000_000
+
+# n-step laws flush trailing masses below the smallest normal double, 2^-1022
+_FLUSH_FLOOR = np.finfo(float).tiny
+# round-off lets an n-step law's total mass drift from 1 by O(n * eps)
+_MASS_DRIFT_TOL = 1e-10
 
 # hand-typed masses may carry decimal round-off; within this tolerance
 # SparseMeasure.parse accepts them and renormalizes to an exact probability vector
@@ -277,6 +288,7 @@ def _n_step_laws(
     v, w = np.zeros(needed), np.empty(needed)  # ping-pong law buffers
     v[x] = 1.0
     hi = x  # v[hi + 1:] is exactly zero, so each step runs on the live window v[:hi + 1]
+    flushed = 0.0  # mass set to zero at the trailing edge so far
     out: dict[int, SparseMeasure] = {}
     step = 0
     for target in horizons:
@@ -284,10 +296,18 @@ def _n_step_laws(
             _clamp_roundoff(apply(v[: hi + 1], w))
             v, w = w, v
             hi += smax
-            while hi > 0 and v[hi] == 0.0:
+            while hi > 0 and v[hi] < _FLUSH_FLOOR:
+                flushed += v[hi]
+                v[hi] = 0.0
                 hi -= 1
             step += 1
-        out[target] = SparseMeasure.from_array(v[: hi + 1], total_tol=1e-10)
+        drift = math.fsum(v[: hi + 1].tolist()) - 1.0
+        if not abs(drift) <= _MASS_DRIFT_TOL:
+            raise ConsistencyError(
+                f"n_step: the law at n={target} has total mass 1{drift:+.3e}, "
+                f"beyond {_MASS_DRIFT_TOL:g} (flushed mass {flushed:.3e})"
+            )
+        out[target] = SparseMeasure.from_array(v[: hi + 1], total_tol=_MASS_DRIFT_TOL)
     return out
 
 
@@ -295,12 +315,15 @@ def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """Exact law of the walk after n steps started at x.
 
     Applies the one-step operator n times to delta_x, each time on the
-    live window [0, hi], where hi is the last state of nonzero mass, and
-    into two law buffers allocated once.  The support can reach
-    x + n * max(support of mu); if that exceeds DEFAULT_STATE_CAP the
-    computation refuses loudly, before allocating, rather than
-    truncating, since truncation would corrupt the far tail.  Round-off lets the total mass
-    drift from 1 by O(n * eps); outputs are accepted within 1e-10.
+    live window [0, hi] and into two law buffers allocated once.  After
+    each step the trailing masses below tau = 2^-1022 are set to zero
+    and hi moves back to the last mass of at least tau.  The flushed
+    total bounds the l1 error of the law; it is at most
+    n * (x + n * smax + 1) * tau, with smax = max(support of mu).  The
+    support can reach x + n * smax; if that exceeds DEFAULT_STATE_CAP
+    the computation refuses loudly, before allocating, rather than cut
+    the window to fit.  Round-off lets the total mass drift from 1 by
+    O(n * eps); a drift beyond 1e-10 raises ConsistencyError.
     """
     return _n_step_laws(kernel, x, [n])[n]
 

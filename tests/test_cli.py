@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from gegwalk import hypergroup
 from gegwalk.cli import main
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
@@ -215,6 +216,29 @@ class TestStateCap:
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err.startswith("gegwalk: ") and "state cap" in err
+
+
+class TestConsistencyError:
+    def test_law_mass_drift_is_exit_2(self, capsys, monkeypatch):
+        # an operator that creates mass makes n_step raise ConsistencyError,
+        # which main reports like every other library error
+        make = hypergroup._poly_operator
+
+        def leaky(*args):
+            apply = make(*args)
+
+            def leaking(v, out):
+                res = apply(v, out)
+                res *= 1.0 + 1e-9
+                return res
+
+            return leaking
+
+        monkeypatch.setattr(hypergroup, "_poly_operator", leaky)
+        rc, out, err = run(capsys, "kernel", "--alpha", "-0.25",
+                           "--mu", "1:0.5,2:0.5", "--x", "0", "--n", "4")
+        assert rc == 2 and out == ""
+        assert err.startswith("gegwalk: n_step: the law at n=4 has total mass 1+4.000e-09")
 
 
 class TestVerifyLlt:

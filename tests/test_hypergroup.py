@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from gegwalk.errors import StateCapError
+from gegwalk import hypergroup
+from gegwalk.errors import ConsistencyError, StateCapError
 from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, weight
 from gegwalk.hypergroup import (
     DEFAULT_STATE_CAP,
@@ -77,12 +78,17 @@ def _n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMe
     return _convolve(kernel.idx, SparseMeasure.point(x), power)
 
 
+TINY = 2.0**-1022  # the smallest normal double, below which n_step flushes
+
+
 def _full_length_laws(
-    kernel: GegenbauerKernel, x: int, horizons: list[int]
-) -> tuple[dict[int, SparseMeasure], np.ndarray]:
+    kernel: GegenbauerKernel, x: int, horizons: list[int], flush: bool = True
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """The n-step loop before it ran on the live window: each step applies
     _poly_apply and _clamp_roundoff to the whole vector of length
-    x + step * smax + 1.  Returns the laws and the last horizon's vector.
+    x + step * smax + 1, then, with ``flush``, zeroes the trailing entries
+    below TINY as n_step does.  Returns a copy of the vector at each
+    horizon and the last horizon's vector.
     """
     a, mu_items = kernel.idx.alpha, list(kernel.step_measure.items())
     v = np.zeros(x + 1)
@@ -92,8 +98,12 @@ def _full_length_laws(
     for target in sorted(horizons):
         while step < target:
             v = _clamp_roundoff(_poly_apply(a, mu_items, v))
+            top = v.size - 1
+            while flush and top > 0 and v[top] < TINY:
+                v[top] = 0.0
+                top -= 1
             step += 1
-        laws[target] = SparseMeasure.from_array(v, total_tol=1e-10)
+        laws[target] = v.copy()
     return laws, v
 
 
@@ -470,7 +480,7 @@ class TestNStep:
 
 class TestLiveWindowBytes:
     # the live window skips only entries that are exactly zero, so every
-    # law is byte-identical to the full-length loop
+    # law is byte-identical to the full-length loop with the same flush
     @pytest.mark.parametrize(
         "alpha,mu,x,horizons",
         [
@@ -486,11 +496,60 @@ class TestLiveWindowBytes:
         oracle, v = _full_length_laws(k, x, horizons)
         assert sorted(laws) == sorted(oracle)
         for n in horizons:
-            assert laws[n].to_csv() == oracle[n].to_csv()
+            want = SparseMeasure.from_array(oracle[n], total_tol=1e-10)
+            assert laws[n].to_csv() == want.to_csv()
         if alpha == -0.25:
             # the mixed step's far tail underflows to exact zeros, so the
             # window is shorter than the full vector and the trim runs
             assert v[-1] == 0.0 and laws[horizons[-1]].max_state < v.size - 1
+
+
+class TestSubnormalFlush:
+    # at alpha = 1/2 with mu uniform on {1, 2, 3} the walk is transient
+    # and its far tail falls below 2^-1022 from about n = 300; n_step
+    # flushes that tail, and the one-step operator is a positive l1
+    # contraction, so the flushed mass bounds the distance to the
+    # unflushed iteration
+    @pytest.mark.parametrize("x", [0, 4])
+    def test_flushed_laws_against_unflushed_loop(self, x):
+        mu = SparseMeasure({1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
+        k = GegenbauerKernel(HypergroupIndex(0.5), mu)
+        horizons = [300, 600]
+        laws = n_step_sequence(k, x, horizons)
+        raw, _ = _full_length_laws(k, x, horizons, flush=False)
+        for n in horizons:
+            r = raw[n]
+            got = _dense(laws[n], r.size)
+            assert np.any((r > 0.0) & (r < TINY))  # the flush has work to do
+            assert math.fsum(np.abs(got - r).tolist()) <= n * (x + 3 * n + 1) * TINY
+            assert not np.any(got[r == 0.0])
+            normal = r >= 1e-280
+            assert np.array_equal(got[normal], r[normal])
+            top = laws[n].max_state
+            assert laws[n][top] >= TINY and not np.any(got[top + 1:])
+            assert top < np.flatnonzero(r)[-1]  # the window shrank
+
+
+class TestMassDrift:
+    def test_drift_raises_consistency_error(self, monkeypatch):
+        # an operator that creates mass: every step scales the law by 1 + 1e-9
+        make = hypergroup._poly_operator
+
+        def leaky(*args):
+            apply = make(*args)
+
+            def leaking(v, out):
+                res = apply(v, out)
+                res *= 1.0 + 1e-9
+                return res
+
+            return leaking
+
+        monkeypatch.setattr(hypergroup, "_poly_operator", leaky)
+        k = GegenbauerKernel(QUARTER, MIX)
+        with pytest.raises(ConsistencyError, match=r"n=1 has total mass 1\+1\.000e-09") as exc:
+            n_step_sequence(k, 0, [1, 8])
+        assert "beyond 1e-10" in str(exc.value) and "flushed mass 0" in str(exc.value)
 
 
 class TestFourier:
