@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from gegwalk import hypergroup
+from gegwalk import cli
 from gegwalk.cli import main
+from gegwalk.errors import ConsistencyError
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
 from gegwalk.walk_sim import WalkConfig, local_time_counts
@@ -219,26 +220,18 @@ class TestStateCap:
 
 
 class TestConsistencyError:
-    def test_law_mass_drift_is_exit_2(self, capsys, monkeypatch):
-        # an operator that creates mass makes n_step raise ConsistencyError,
-        # which main reports like every other library error
-        make = hypergroup._poly_operator
+    def test_consistency_error_is_exit_2(self, capsys, monkeypatch):
+        # a ConsistencyError is a library error like StateCapError: one line
+        # on stderr and exit 2, not a traceback and the exit code of a failed
+        # verification
+        def drifting(*args):
+            raise ConsistencyError("n_step: the law at n=4 has total mass 1+4e-09")
 
-        def leaky(*args):
-            apply = make(*args)
-
-            def leaking(v, out):
-                res = apply(v, out)
-                res *= 1.0 + 1e-9
-                return res
-
-            return leaking
-
-        monkeypatch.setattr(hypergroup, "_poly_operator", leaky)
+        monkeypatch.setattr(cli, "n_step", drifting)
         rc, out, err = run(capsys, "kernel", "--alpha", "-0.25",
                            "--mu", "1:0.5,2:0.5", "--x", "0", "--n", "4")
         assert rc == 2 and out == ""
-        assert err.startswith("gegwalk: n_step: the law at n=4 has total mass 1+4.000e-09")
+        assert err == "gegwalk: n_step: the law at n=4 has total mass 1+4e-09\n"
 
 
 class TestVerifyLlt:
