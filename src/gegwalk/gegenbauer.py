@@ -35,17 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HypergroupIndex:
-    """Family parameter a >= -1/2 with the shifted form lam = a + 1/2."""
+    """Family parameter a >= -1/2."""
 
     alpha: float
 
     def __post_init__(self):
         if not self.alpha >= -0.5:
             raise ValueError("HypergroupIndex: alpha must be >= -1/2")
-
-    @property
-    def lam(self) -> float:
-        return self.alpha + 0.5
 
 
 def _recurrence(
@@ -107,10 +103,6 @@ class LinearizationRow:
     m: int
     n: int
     coeffs: Mapping[int, float]
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
 
     def __getitem__(self, k: int) -> float:
         return self.coeffs.get(k, 0.0)

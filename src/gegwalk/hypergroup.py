@@ -15,6 +15,11 @@ one-step operator is a positive l1 contraction, so the flushed total
 bounds the l1 distance of every law from the unflushed iteration; a
 priori it is at most n * (x + n * smax + 1) * tau, below 3e-296 under
 the state cap.
+
+That iteration is written once, as the private generator `_sweep`:
+`n_step` and `n_step_sequence` read whole laws from it at their
+horizons, and `return_probabilities` reads the one entry p^(k)(x, y)
+after every step k, with the flushed mass as the bound on its error.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 import numpy as np
 
@@ -36,6 +41,7 @@ __all__ = [
     "kernel_row",
     "n_step",
     "n_step_sequence",
+    "return_probabilities",
     "drift_constant",
 ]
 
@@ -90,11 +96,6 @@ class SparseMeasure:
         self._map = items
 
     @classmethod
-    def point(cls, state: int) -> "SparseMeasure":
-        """Unit mass at a single state."""
-        return cls({state: 1.0})
-
-    @classmethod
     def from_array(cls, masses: np.ndarray, **kwargs) -> "SparseMeasure":
         arr = np.asarray(masses, dtype=float)
         nz = np.flatnonzero(arr)
@@ -110,10 +111,6 @@ class SparseMeasure:
     def max_state(self) -> int:
         sup = self.support
         return sup[-1] if sup else 0
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self._map.values())
 
     def mass(self, state: int) -> float:
         if state < 0:
@@ -270,44 +267,58 @@ def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
     return SparseMeasure(acc, total_tol=1e-10)
 
 
+def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield (v[:hi + 1], flushed mass so far) after each of steps 0..n.
+
+    One sweep of the one-step operator from delta_x.  The yielded window
+    is a view of a buffer that the next step overwrites.
+    """
+    smax = kernel.step_measure.max_state
+    needed = x + n * smax + 1
+    if needed > DEFAULT_STATE_CAP:
+        raise StateCapError(
+            f"n_step(x={x}, n={n}) exceeds the state cap {DEFAULT_STATE_CAP}",
+            required=needed,
+        )
+    apply = _poly_operator(kernel.idx.alpha, list(kernel.step_measure.items()), needed)
+    v, w = np.zeros(needed), np.empty(needed)  # ping-pong law buffers
+    v[x] = 1.0
+    hi = x  # v[hi + 1:] is exactly zero, so each step runs on the live window v[:hi + 1]
+    flushed = 0.0  # mass set to zero at the trailing edge so far
+    yield v[: hi + 1], flushed
+    for _ in range(n):
+        _clamp_roundoff(apply(v[: hi + 1], w))
+        v, w = w, v
+        hi += smax
+        while hi > 0 and v[hi] < _FLUSH_FLOOR:
+            flushed += v[hi]
+            v[hi] = 0.0
+            hi -= 1
+        yield v[: hi + 1], flushed
+
+
+def _check_mass(law: np.ndarray, n: int, flushed: float) -> None:
+    """Raise ConsistencyError if the total of the law at n drifted from 1."""
+    drift = math.fsum(law.tolist()) - 1.0
+    if not abs(drift) <= _MASS_DRIFT_TOL:
+        raise ConsistencyError(
+            f"n_step: the law at n={n} has total mass 1{drift:+.3e}, "
+            f"beyond {_MASS_DRIFT_TOL:g} (flushed mass {flushed:.3e})"
+        )
+
+
 def _n_step_laws(
     kernel: GegenbauerKernel, x: int, horizons: list[int]
 ) -> dict[int, SparseMeasure]:
     """Laws at the ascending horizons from one sweep of the one-step operator."""
     if x < 0 or horizons[0] < 0:
         raise ValueError("n_step: x and n must be >= 0")
-    n = horizons[-1]
-    needed = x + n * kernel.step_measure.max_state + 1
-    if needed > DEFAULT_STATE_CAP:
-        raise StateCapError(
-            f"n_step(x={x}, n={n}) exceeds the state cap {DEFAULT_STATE_CAP}",
-            required=needed,
-        )
-    smax = kernel.step_measure.max_state
-    apply = _poly_operator(kernel.idx.alpha, list(kernel.step_measure.items()), needed)
-    v, w = np.zeros(needed), np.empty(needed)  # ping-pong law buffers
-    v[x] = 1.0
-    hi = x  # v[hi + 1:] is exactly zero, so each step runs on the live window v[:hi + 1]
-    flushed = 0.0  # mass set to zero at the trailing edge so far
+    wanted = set(horizons)
     out: dict[int, SparseMeasure] = {}
-    step = 0
-    for target in horizons:
-        while step < target:
-            _clamp_roundoff(apply(v[: hi + 1], w))
-            v, w = w, v
-            hi += smax
-            while hi > 0 and v[hi] < _FLUSH_FLOOR:
-                flushed += v[hi]
-                v[hi] = 0.0
-                hi -= 1
-            step += 1
-        drift = math.fsum(v[: hi + 1].tolist()) - 1.0
-        if not abs(drift) <= _MASS_DRIFT_TOL:
-            raise ConsistencyError(
-                f"n_step: the law at n={target} has total mass 1{drift:+.3e}, "
-                f"beyond {_MASS_DRIFT_TOL:g} (flushed mass {flushed:.3e})"
-            )
-        out[target] = SparseMeasure.from_array(v[: hi + 1], total_tol=_MASS_DRIFT_TOL)
+    for step, (law, flushed) in enumerate(_sweep(kernel, x, horizons[-1])):
+        if step in wanted:
+            _check_mass(law, step, flushed)
+            out[step] = SparseMeasure.from_array(law, total_tol=_MASS_DRIFT_TOL)
     return out
 
 
@@ -340,6 +351,26 @@ def n_step_sequence(
     if not ns:
         return {}
     return _n_step_laws(kernel, x, ns)
+
+
+def return_probabilities(
+    kernel: GegenbauerKernel, x: int, y: int, n: int
+) -> tuple[np.ndarray, float]:
+    """p^(k)(x, y) for k = 0..n from one sweep of the one-step operator.
+
+    Each r_k is bit-identical to n_step(kernel, x, k)[y], and the same
+    state cap and drift check (at n) apply.  Returns (r, flushed): the
+    flushed mass bounds the error of every r_k, as it bounds the l1
+    error of every law up to n.
+    """
+    if x < 0 or y < 0 or n < 0:
+        raise ValueError("return_probabilities: x, y and n must be >= 0")
+    r = np.zeros(n + 1)
+    for k, (law, flushed) in enumerate(_sweep(kernel, x, n)):
+        if y < law.size:
+            r[k] = law[y]
+    _check_mass(law, n, flushed)
+    return r, float(flushed)
 
 
 def drift_constant(idx: HypergroupIndex, mu: SparseMeasure) -> float:

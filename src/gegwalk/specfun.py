@@ -197,8 +197,8 @@ def ml_density(order: float, x: float) -> float:
     if not 0.0 < order < 1.0:
         if order == 1.0:
             raise ValueError(
-                "ml_density: order 1 is degenerate (point mass at 1); "
-                "use MittagLefflerDist(1.0) for the point-mass case"
+                "ml_density: order 1 is degenerate (point mass at 1), "
+                "with no density"
             )
         raise ValueError("ml_density: order must lie in (0, 1)")
     if not math.isfinite(x):
@@ -297,23 +297,17 @@ def _density_cutoff(order: float) -> float:
 
 @dataclass(frozen=True)
 class MittagLefflerDist:
-    """Mittag-Leffler distribution of a given order in (0, 1].
+    """Mittag-Leffler distribution of a given order in (0, 1).
 
     Nonnegative law with moments p!/Gamma(order*p+1); ml_sample draws
-    from it.  order = 1 is the point mass at 1, kept as an explicit
-    variant so cdf_grid and moments stay total; only ``density`` is
-    undefined there.
+    from it.
     """
 
     order: float
 
     def __post_init__(self):
-        if not 0.0 < self.order <= 1.0:
-            raise ValueError("MittagLefflerDist: order must lie in (0, 1]")
-
-    @property
-    def is_point_mass(self) -> bool:
-        return self.order == 1.0
+        if not 0.0 < self.order < 1.0:
+            raise ValueError("MittagLefflerDist: order must lie in (0, 1)")
 
     def moment(self, p: int) -> float:
         return ml_moment(self.order, p)
@@ -333,8 +327,6 @@ class MittagLefflerDist:
         grid.  Suited to goodness-of-fit statistics over large samples.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.is_point_mass:
-            return (xs >= 1.0).astype(float)
         grid = np.linspace(0.0, _density_cutoff(self.order), npoints)
         if xs.size:
             grid = grid[: np.searchsorted(grid, xs.max()) + 1]

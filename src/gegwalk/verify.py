@@ -278,8 +278,9 @@ def check_local_time_limit(
     (2y+1)/(4C).  Checks the first `n_moments` moments (window: 3
     standard errors + `moment_floor` relative) and the KS distance to
     the limit CDF.  A `ks_threshold` that is not finite and positive, a
-    `moment_floor` that is not finite and nonnegative, or a negative
-    `n_moments` raises ValueError.
+    `moment_floor` that is not finite and nonnegative, a negative
+    `n_moments`, or fewer than the 100 replicas the KS statistic needs
+    raises ValueError, before any simulation.
 
     The theorems hold from any start x; finite-n error as a function of
     x is not quantified, so reports from different starts should be
@@ -304,6 +305,7 @@ def check_local_time_limit(
         _require_aperiodic(kernel)
 
     cfg = WalkConfig(idx, mu, x, horizon, replicas, (y,), seed)
+    _require_ks_samples(replicas)
     counts = local_time_counts(cfg, threads=threads).counts[:, 0]
 
     C = drift_constant(idx, mu)
@@ -361,6 +363,11 @@ def check_local_time_limit(
     )
 
 
+def _require_ks_samples(n: int) -> None:
+    if n < 100:
+        raise ValueError("need at least 100 samples for a KS statistic")
+
+
 def ks_statistic(samples: Sequence[float], cdf: Callable) -> float:
     """Sup distance between the empirical CDF and a reference CDF.
 
@@ -374,8 +381,7 @@ def ks_statistic(samples: Sequence[float], cdf: Callable) -> float:
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
-    if n < 100:
-        raise ValueError("need at least 100 samples for a KS statistic")
+    _require_ks_samples(n)
     F = np.asarray(cdf(xs), dtype=float)
     if F.shape != xs.shape:
         raise ValueError(f"cdf returned shape {F.shape} for {xs.shape} samples")

@@ -20,9 +20,15 @@ from gegwalk.hypergroup import (
     kernel_row,
     n_step,
     n_step_sequence,
+    return_probabilities,
 )
 
-from _oracles import eval_poly_table, reflected_return_probability, reflected_walk_law
+from _oracles import (
+    eval_poly_table,
+    exact_return_probabilities,
+    reflected_return_probability,
+    reflected_walk_law,
+)
 
 CHEB = HypergroupIndex(-0.5)
 QUARTER = HypergroupIndex(-0.25)
@@ -72,10 +78,10 @@ def _convolve(idx: HypergroupIndex, mu: SparseMeasure, nu: SparseMeasure) -> Spa
 
 def _n_step_by_convolution(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """delta_x * mu^(n) by repeated measure convolution, the slow cross-check."""
-    power = SparseMeasure.point(0)
+    power = SparseMeasure({0: 1.0})
     for _ in range(n):
         power = _convolve(kernel.idx, power, kernel.step_measure)
-    return _convolve(kernel.idx, SparseMeasure.point(x), power)
+    return _convolve(kernel.idx, SparseMeasure({x: 1.0}), power)
 
 
 TINY = 2.0**-1022  # the smallest normal double, below which n_step flushes
@@ -182,11 +188,11 @@ def tv_distance(a: SparseMeasure, b: SparseMeasure) -> float:
 
 class TestSparseMeasure:
     def test_point_mass(self):
-        m = SparseMeasure.point(3)
+        m = SparseMeasure({3: 1.0})
         assert m.support == (3,)
         assert m[3] == 1.0
         assert m[0] == 0.0
-        assert m.total == 1.0
+        assert math.fsum(v for _, v in m.items()) == 1.0
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
@@ -232,7 +238,7 @@ class TestSparseMeasure:
         dense = SparseMeasure({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
         sparse = SparseMeasure({0: 0.25, 100: 0.75})
         for m in (dense, sparse):
-            assert m.total == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(v for _, v in m.items()) == pytest.approx(1.0, abs=1e-12)
             arr = _dense(m)
             assert arr.shape == (m.max_state + 1,)
             for s in m.support:
@@ -263,7 +269,7 @@ class TestSerialization:
         assert back == m  # repr round trip keeps every bit
 
     def test_csv_header(self):
-        assert SparseMeasure.point(0).to_csv().splitlines()[0] == "state,mass"
+        assert SparseMeasure({0: 1.0}).to_csv().splitlines()[0] == "state,mass"
 
     def test_csv_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -325,7 +331,7 @@ class TestKernelConstruction:
 class TestConvolve:
     # the reference convolution behind _n_step_by_convolution
     def test_identity_element(self):
-        delta0 = SparseMeasure.point(0)
+        delta0 = SparseMeasure({0: 1.0})
         m = SparseMeasure({1: 0.5, 4: 0.5})
         assert _convolve(QUARTER, delta0, m) == m
         assert _convolve(QUARTER, m, delta0) == m
@@ -340,7 +346,7 @@ class TestConvolve:
         assert out[2] == pytest.approx(1 - expected0, abs=1e-15)
 
     def test_chebyshev_case_is_arithmetic_mean(self):
-        out = _convolve(CHEB, SparseMeasure.point(2), SparseMeasure.point(5))
+        out = _convolve(CHEB, SparseMeasure({2: 1.0}), SparseMeasure({5: 1.0}))
         assert out[3] == pytest.approx(0.5, abs=1e-15)
         assert out[7] == pytest.approx(0.5, abs=1e-15)
 
@@ -395,7 +401,7 @@ class TestKernelRow:
 class TestNStep:
     def test_zero_steps(self):
         k = GegenbauerKernel(QUARTER, MIX)
-        assert n_step(k, 3, 0) == SparseMeasure.point(3)
+        assert n_step(k, 3, 0) == SparseMeasure({3: 1.0})
 
     def test_one_step_matches_row(self):
         k = GegenbauerKernel(QUARTER, MIX)
@@ -532,7 +538,8 @@ class TestSubnormalFlush:
 
 
 class TestMassDrift:
-    def test_drift_raises_consistency_error(self, monkeypatch):
+    @pytest.fixture
+    def leaky_operator(self, monkeypatch):
         # an operator that creates mass: every step scales the law by 1 + 1e-9
         make = hypergroup._poly_operator
 
@@ -547,10 +554,54 @@ class TestMassDrift:
             return leaking
 
         monkeypatch.setattr(hypergroup, "_poly_operator", leaky)
+
+    def test_drift_raises_consistency_error(self, leaky_operator):
         k = GegenbauerKernel(QUARTER, MIX)
         with pytest.raises(ConsistencyError, match=r"n=1 has total mass 1\+1\.000e-09") as exc:
             n_step_sequence(k, 0, [1, 8])
         assert "beyond 1e-10" in str(exc.value) and "flushed mass 0" in str(exc.value)
+
+    def test_return_probabilities_checks_drift_at_n(self, leaky_operator):
+        k = GegenbauerKernel(QUARTER, MIX)
+        with pytest.raises(ConsistencyError, match=r"n=8 has total mass 1\+8\.000e-09"):
+            return_probabilities(k, 0, 0, 8)
+
+
+class TestReturnProbabilities:
+    @pytest.mark.parametrize("alpha,mu", [(-0.25, MIX), (-0.5, DELTA1)], ids=["mixed", "unit"])
+    @pytest.mark.parametrize("x,y", [(0, 0), (3, 1)])
+    def test_bitwise_equal_to_laws(self, alpha, mu, x, y):
+        k = GegenbauerKernel(HypergroupIndex(alpha), mu)
+        n = 300
+        r, flushed = return_probabilities(k, x, y, n)
+        laws = n_step_sequence(k, x, range(n + 1))
+        assert r.tobytes() == np.array([laws[j][y] for j in range(n + 1)]).tobytes()
+        assert type(flushed) is float
+
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25])
+    @pytest.mark.parametrize("x,y", [(0, 0), (3, 1), (2, 5)])
+    def test_unit_step_parity_zeros(self, alpha, x, y):
+        r, _ = return_probabilities(GegenbauerKernel(HypergroupIndex(alpha), DELTA1), x, y, 101)
+        k = np.arange(r.size)
+        even = (k + x + y) % 2 == 0
+        assert np.all(r[~even] == 0.0)
+        assert np.all(r[even & (k >= abs(x - y))] > 0.0)
+
+    def test_against_sparse_matrix_oracle(self):
+        n = 2048
+        r, flushed = return_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, n)
+        want, dropped = exact_return_probabilities(-0.25, n, 0.5, 0.5)
+        assert np.all(np.abs(r - want) <= flushed + dropped + 1e-14 * want)
+
+    @pytest.mark.parametrize("x,y,n", [(-1, 0, 4), (0, -1, 4), (0, 0, -1)])
+    def test_rejects_negative_arguments(self, x, y, n):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            return_probabilities(GegenbauerKernel(QUARTER, MIX), x, y, n)
+
+    def test_state_cap(self):
+        with pytest.raises(StateCapError) as exc:
+            return_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, DEFAULT_STATE_CAP // 2)
+        assert exc.value.required > DEFAULT_STATE_CAP
 
 
 class TestFourier:
@@ -565,7 +616,7 @@ class TestFourier:
         # at alpha = -1/2 the transform of delta_n is cos(n theta)
         for n in (0, 1, 3, 6):
             for theta in (0.1, 1.0, 2.5):
-                assert _fourier(CHEB, SparseMeasure.point(n), theta) == pytest.approx(
+                assert _fourier(CHEB, SparseMeasure({n: 1.0}), theta) == pytest.approx(
                     math.cos(n * theta), abs=1e-14
                 )
 
@@ -592,7 +643,7 @@ class TestFourier:
 
 class TestInverseFourier:
     def test_point_mass_round_trip(self):
-        f = lambda theta: _fourier(QUARTER, SparseMeasure.point(2), theta)
+        f = lambda theta: _fourier(QUARTER, SparseMeasure({2: 1.0}), theta)
         assert _inverse_fourier(QUARTER, f, 2) == pytest.approx(1.0, abs=1e-8)
         assert _inverse_fourier(QUARTER, f, 3) == pytest.approx(0.0, abs=1e-8)
         assert _inverse_fourier(QUARTER, f, 4) == pytest.approx(0.0, abs=1e-8)
@@ -625,7 +676,7 @@ class TestClassification:
         assert drift_constant(QUARTER, MIX) == pytest.approx(13.0 / 12.0, abs=1e-13)
 
     def test_drift_constant_lazy_origin(self):
-        assert drift_constant(QUARTER, SparseMeasure.point(0)) == 0.0
+        assert drift_constant(QUARTER, SparseMeasure({0: 1.0})) == 0.0
 
 
 class TestMembership:

@@ -381,16 +381,9 @@ class TestMittagLefflerDist:
             MittagLefflerDist(0.0)
         with pytest.raises(ValueError):
             MittagLefflerDist(1.0001)
-
-    def test_point_mass_variant(self):
-        d = MittagLefflerDist(1.0)
-        assert d.is_point_mass
-        assert d.moment(5) == pytest.approx(1.0)
-        rng = np.random.default_rng(1)
-        assert sf.ml_sample(d.order, rng) == 1.0
-        np.testing.assert_array_equal(d.cdf_grid(np.array([0.5, 2.0])), [0.0, 1.0])
-        with pytest.raises(ValueError):
-            d.density(1.0)
+        # order 1, the point mass at 1, is left to ml_moment and ml_sample
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            MittagLefflerDist(1.0)
 
     def test_cdf_grid_against_half_order_closed_form(self):
         # ML(1/2) is the modulus of a centered normal with variance 2,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gegwalk import verify
 from gegwalk.gegenbauer import HypergroupIndex, weight
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step
 from gegwalk.specfun import (
@@ -306,6 +307,14 @@ class TestLocalTimeLimit:
     def test_rejects_tiny_horizon(self):
         with pytest.raises(ValueError):
             check_local_time_limit(CHEB, D1, 0, 0, 1, 200, 0)
+
+    def test_too_few_replicas_refused_before_simulating(self, monkeypatch):
+        def engine(*args, **kwargs):
+            pytest.fail("simulated before refusing the replica count")
+
+        monkeypatch.setattr(verify, "local_time_counts", engine)
+        with pytest.raises(ValueError, match="at least 100 samples"):
+            check_local_time_limit(CHEB, D1, 0, 0, 200_000, 99, 1)
 
     def test_rejects_periodic_nonunit_step(self):
         with pytest.raises(ValueError):
