@@ -14,7 +14,6 @@ case P_n(cos t) = cos(n t).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,20 +44,14 @@ class HypergroupIndex:
 
 
 def _recurrence(
-    a: float,
-    smax: int,
-    v: np.ndarray,
-    times_x: Callable[[float, np.ndarray], np.ndarray],
-    tmp: np.ndarray | None = None,
+    a: float, smax: int, v: np.ndarray, times_x: Callable[[float, np.ndarray], np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Yield P_0 v, P_1 v, ..., P_smax v by the upward recurrence.
 
     ``times_x(c, u)`` returns c x u as an array at least as long as u:
     x acts pointwise in value space and as the Jacobi operator in
     coefficient space.  P_1 v = times_x(1.0, v) exactly, and P_{s-1} v
-    enters the later steps zero-padded to the length of x P_s v.  The
-    product s P_{s-1} v goes into ``tmp`` when it is given, not into a
-    fresh array.
+    enters the later steps zero-padded to the length of x P_s v.
     """
     yield v
     if smax == 0:
@@ -67,7 +60,7 @@ def _recurrence(
     yield cur
     for s in range(1, smax):
         nxt = times_x(2 * s + 2 * a + 1, cur)
-        nxt[: prev.size] -= s * prev if tmp is None else np.multiply(prev, s, out=tmp[: prev.size])
+        nxt[: prev.size] -= s * prev
         nxt /= s + 2 * a + 1
         prev, cur = cur, nxt
         yield cur
@@ -108,57 +101,36 @@ class LinearizationRow:
         return self.coeffs.get(k, 0.0)
 
 
-def _poly_operator(
-    a: float, weights: list[tuple[int, float]], size: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The map v -> sum of w_s P_s(J) v over the (s, w_s) pairs, for
-    vectors v of at most ``size`` coefficients in the P_n basis.
+def _poly_apply(a: float, weights: list[tuple[int, float]], v: np.ndarray) -> np.ndarray:
+    """The sum of w_s P_s(J) v over the (s, w_s) pairs, as a new array of
+    length len(v) + smax, for a vector v in the P_n basis.
 
     J is multiplication by x in that basis: column j feeds j/(2j+2a+1)
     into j-1 and (j+2a+1)/(2j+2a+1) into j+1; column 0 feeds 1 into
     index 1 (the a = -1/2 limit of the same ratio).  _recurrence in
     coefficient space then builds P_s(J) v, so the cost is
-    O(smax * len(v)) however many pairs there are.  The returned
-    ``apply(v, out)`` writes the result into out[:len(v) + smax] and
-    returns that view.  The ratios are computed once for the largest
-    length, and P_s(J) v lives in a ring of three scratch buffers: the
-    recurrence reads only P_{s-1} and P_s while it writes P_{s+1}.
+    O(smax * len(v)) however many pairs there are.
     """
     smax = max((s for s, _ in weights), default=0)
-    j = np.arange(1, size + smax)
+    j = np.arange(1, v.size + smax)
     denom = 2 * j + 2 * a + 1
     down, up = j / denom, (j + 2 * a + 1) / denom
-    ring = itertools.cycle(np.empty((3, size + smax)))
-    tmp = np.empty(size + smax)
-    lookup = dict(weights)
 
     def times_x(c: float, u: np.ndarray) -> np.ndarray:  # c J u, one entry longer than u
         n = u.size - 1
-        ju = next(ring)[: n + 2]
-        ju.fill(0.0)
-        ju[:-2] += np.multiply(u[1:], down[:n], out=tmp[:n])
-        ju[2:] += np.multiply(u[1:], up[:n], out=tmp[:n])
+        ju = np.zeros(n + 2)
+        ju[:-2] += u[1:] * down[:n]
+        ju[2:] += u[1:] * up[:n]
         ju[1] += u[0]
         ju *= c
         return ju
 
-    def apply(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out = out[: v.size + smax]
-        out.fill(0.0)
-        for s, p in enumerate(_recurrence(a, smax, v, times_x, tmp)):
-            w = lookup.get(s)
-            if w:
-                out[: p.size] += np.multiply(p, w, out=tmp[: p.size])
-        return out
-
-    return apply
-
-
-def _poly_apply(a: float, weights: list[tuple[int, float]], v: np.ndarray) -> np.ndarray:
-    """Sum of w_s P_s(J) v (see _poly_operator) as a new array of length
-    len(v) + smax."""
-    smax = max((s for s, _ in weights), default=0)
-    return _poly_operator(a, weights, v.size)(v, np.empty(v.size + smax))
+    out = np.zeros(v.size + smax)
+    lookup = dict(weights)
+    for s, p in enumerate(_recurrence(a, smax, v, times_x)):
+        if s in lookup:
+            out[: p.size] += p * lookup[s]
+    return out
 
 
 @lru_cache(maxsize=4096)

@@ -5,21 +5,18 @@ point masses, delta_m * delta_n = sum_k c(m,n,k) delta_k, with the
 linearization coefficients as weights.  Extended bilinearly this gives a
 transition kernel p(x, .) = delta_x * mu for any step measure mu.
 
-Exact n-step laws are computed by iterating the one-step operator on
-the live window of a dense coefficient vector: the states up to the last
-mass of at least tau = 2^-1022, the smallest normal double.  After each
-step the trailing masses below tau are flushed to zero, so a transient
-walk's far tail underflows instead of sitting in subnormals, which are
-slow to compute with.  Everything past the window is exactly zero.  The
-one-step operator is a positive l1 contraction, so the flushed total
-bounds the l1 distance of every law from the unflushed iteration; a
-priori it is at most n * (x + n * smax + 1) * tau, below 3e-296 under
-the state cap.
-
-That iteration is written once, as the private generator `_sweep`:
-`n_step` and `n_step_sequence` read whole laws from it at their
-horizons, and `return_probabilities` reads the one entry p^(k)(x, y)
-after every step k, with the flushed mass as the bound on its error.
+Exact n-step laws come from one sweep, the private generator `_sweep`.
+It builds the one-step operator once, as the band of its diagonals
+p(x, x + d), d = -smax..smax, and then steps the live window of a dense
+law vector: the states up to the last mass of at least tau = 2^-1022,
+the smallest normal double.  After each step the trailing masses below
+tau are flushed to zero, so a transient walk's far tail underflows
+instead of sitting in subnormals, which are slow to compute with.  The
+operator is a positive l1 contraction, so the flushed total bounds the
+l1 distance of every law from the unflushed iteration; a priori it is
+at most n * (x + n * smax + 1) * tau, below 3e-296 under the state cap.
+`n_step` and `n_step_sequence` read whole laws from the sweep, and
+`return_probabilities` the one entry p^(k)(x, y) after every step k.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Iterable, Iterator, Literal, Mapping
 import numpy as np
 
 from gegwalk.errors import ConsistencyError, StateCapError
-from gegwalk.gegenbauer import HypergroupIndex, _poly_operator, linearization
+from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, linearization
 
 __all__ = [
     "SparseMeasure",
@@ -231,7 +228,7 @@ class GegenbauerKernel:
 
 
 def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
-    """Floor negative round-off at 0 in a law vector, in place.
+    """Floor negative round-off at 0 in an array of probabilities, in place.
 
     Entries that should vanish by exact cancellation can come out at
     either sign of magnitude ~eps * max; genuinely negative values beyond
@@ -241,7 +238,7 @@ def _clamp_roundoff(v: np.ndarray) -> np.ndarray:
     if mn < 0.0:
         if mn < -1e-12 * max(float(v.max()), 0.0):
             raise ConsistencyError(
-                f"law vector has negative entry {mn:.3e} beyond round-off scale"
+                f"negative probability {mn:.3e} beyond round-off scale"
             )
         np.maximum(v, 0.0, out=v)
     return v
@@ -267,11 +264,36 @@ def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
     return SparseMeasure(acc, total_tol=1e-10)
 
 
+def _band(kernel: GegenbauerKernel, size: int) -> np.ndarray:
+    """The one-step operator on states 0..size-1 as its 2*smax+1 diagonals,
+    band[smax + d, j] = p(j, j + d), which is 0 where j + d < 0.
+
+    Basis vectors 2*smax+1 apart have disjoint images, so one _poly_apply
+    of their sum (a comb) gives each of their columns bit for bit.  The
+    round-off floor is checked and applied once, here.
+    """
+    smax = kernel.step_measure.max_state
+    width = 2 * smax + 1
+    band = np.empty((width, size))
+    image = np.zeros(size + 2 * smax)  # image[smax + i] is entry i of a comb's image
+    for r in range(width):
+        comb = np.zeros(size)
+        comb[r::width] = 1.0
+        image[smax:] = _poly_apply(kernel.idx.alpha, list(kernel.step_measure.items()), comb)
+        for k in range(width):
+            band[k, r::width] = image[r + k : size + k : width]
+    return _clamp_roundoff(band)
+
+
 def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarray, float]]:
     """Yield (v[:hi + 1], flushed mass so far) after each of steps 0..n.
 
-    One sweep of the one-step operator from delta_x.  The yielded window
-    is a view of a buffer that the next step overwrites.
+    One sweep of the one-step operator from delta_x.  The operator is
+    built once per sweep, as its band on the x + n*smax + 1 states the
+    sweep can reach, (2*smax+1) * (x + n*smax + 1) doubles, and its
+    round-off floor is checked there.  Each step is then 2*smax+1
+    shifted multiply-adds on the live window.  The yielded window is a
+    view of a buffer that the next step overwrites.
     """
     smax = kernel.step_measure.max_state
     needed = x + n * smax + 1
@@ -280,14 +302,18 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
             f"n_step(x={x}, n={n}) exceeds the state cap {DEFAULT_STATE_CAP}",
             required=needed,
         )
-    apply = _poly_operator(kernel.idx.alpha, list(kernel.step_measure.items()), needed)
-    v, w = np.zeros(needed), np.empty(needed)  # ping-pong law buffers
+    band = _band(kernel, needed)
+    v, w, prod = np.zeros(needed), np.zeros(needed), np.empty(needed)  # v, w ping-pong
     v[x] = 1.0
-    hi = x  # v[hi + 1:] is exactly zero, so each step runs on the live window v[:hi + 1]
+    hi = x  # only v[:hi + 1] is read; entries past hi are not kept at zero
     flushed = 0.0  # mass set to zero at the trailing edge so far
     yield v[: hi + 1], flushed
     for _ in range(n):
-        _clamp_roundoff(apply(v[: hi + 1], w))
+        w[: hi + smax + 1] = 0.0
+        for k in range(2 * smax + 1):  # p(j, j + d) v[j] lands on j + d, d = k - smax
+            lo = min(max(smax - k, 0), hi + 1)  # the first j with j + d >= 0
+            np.multiply(band[k, lo : hi + 1], v[lo : hi + 1], out=prod[lo : hi + 1])
+            w[lo + k - smax : hi + 1 + k - smax] += prod[lo : hi + 1]
         v, w = w, v
         hi += smax
         while hi > 0 and v[hi] < _FLUSH_FLOOR:
@@ -325,16 +351,16 @@ def _n_step_laws(
 def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """Exact law of the walk after n steps started at x.
 
-    Applies the one-step operator n times to delta_x, each time on the
-    live window [0, hi] and into two law buffers allocated once.  After
-    each step the trailing masses below tau = 2^-1022 are set to zero
-    and hi moves back to the last mass of at least tau.  The flushed
-    total bounds the l1 error of the law; it is at most
-    n * (x + n * smax + 1) * tau, with smax = max(support of mu).  The
-    support can reach x + n * smax; if that exceeds DEFAULT_STATE_CAP
-    the computation refuses loudly, before allocating, rather than cut
-    the window to fit.  Round-off lets the total mass drift from 1 by
-    O(n * eps); a drift beyond 1e-10 raises ConsistencyError.
+    The support can reach x + n * smax, with smax = max(support of mu);
+    past DEFAULT_STATE_CAP states the computation refuses loudly, before
+    allocating, rather than cut to fit.  The band of the one-step operator
+    is built once per sweep, (2*smax+1) * (x + n*smax + 1) doubles, and a
+    negative entry beyond round-off raises ConsistencyError there, before
+    any step.  Each step runs on the live window [0, hi]; then the
+    trailing masses below tau = 2^-1022 are set to zero and hi moves back
+    to the last mass of at least tau.  The flushed total, at most
+    n * (x + n * smax + 1) * tau, bounds the l1 error of the law.  A drift
+    of the total mass from 1 beyond 1e-10 raises ConsistencyError.
     """
     return _n_step_laws(kernel, x, [n])[n]
 

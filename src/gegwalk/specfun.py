@@ -50,11 +50,13 @@ _TAIL_DENSITY = 1e-12
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for real x, poles excluded.
+    """Gamma function for finite real x, poles excluded.
 
-    Raises ValueError at non-positive integers.  Returns ``inf`` if the
-    result overflows float range (x > ~171.6).
+    Raises ValueError at non-positive integers and at a non-finite x.
+    Returns ``inf`` if the result overflows float range (x > ~171.6).
     """
+    if not math.isfinite(x):
+        raise ValueError(f"gamma_fn: x must be finite, got {x!r}")
     if x <= 0.0 and float(x).is_integer():
         raise ValueError(f"gamma_fn: pole at non-positive integer x={x:g}")
     return _or_inf(math.gamma, x)
@@ -265,10 +267,10 @@ def bessel_marginal_density(index: float, x: float) -> float:
     evaluated in log space so that no factor overflows on its own.
     At index = -1/2 this is the half-normal density sqrt(2/pi) e^{-x^2/2}.
     """
-    if index <= -1.0:
+    if not index > -1.0:
         raise ValueError("bessel_marginal_density: index must be > -1")
-    if x < 0.0:
-        raise ValueError("bessel_marginal_density: x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"bessel_marginal_density: x must be finite and >= 0, got {x!r}")
     power = 2.0 * index + 1.0
     if x == 0.0:
         if power == 0.0:

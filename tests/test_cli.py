@@ -278,10 +278,10 @@ class TestVerifyLltBytes:
 
     @pytest.mark.parametrize("argv,fmt,digest,stderr", [
         (MIXED, "csv",
-         "552f7feed7fec395127f665d96da6fecc5e24de1c5ee74b39bed968dabb36883",
+         "9540e63c338678eb10c05ae18bc1a49c1f2d95db2c82bd58f387e75635d33002",
          "aperiodic-llt: pass\n"),
         (MIXED, "json",
-         "50e2bbba388968daa4ec2bf014ee00f70b484b72be33d19a63e14b59125a6dcd",
+         "0f8e626f0273515853a7e7664bf0d7f935f0fda351eefa1fd3d2ddb6119886e8",
          "aperiodic-llt: pass\n"),
         (UNIT, "csv",
          "6b7c7c44fac5273847262bb8b3287a23086356d1a6ed3c41bcc9f3906f299f9f",
@@ -396,6 +396,18 @@ class TestSpecfun:
         rc, out, err = run(capsys, "specfun", "ml-function", "--order", "0.5",
                            "--x", "nan")
         assert rc == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bessel-marginal", "--order", "0", "--x", "nan"],
+        ["bessel-marginal", "--order", "0", "--x", "inf"],
+        ["bessel-marginal", "--order", "nan", "--x", "1"],
+        ["gamma", "--x", "nan"],
+        ["gamma", "--x", "inf"],
+    ], ids=["marginal-nan-x", "marginal-inf-x", "marginal-nan-order", "gamma-nan",
+            "gamma-inf"])
+    def test_non_finite_argument_is_exit_2(self, capsys, argv):
+        rc, out, err = run(capsys, "specfun", *argv)
+        assert rc == 2 and out == "" and err.startswith("gegwalk: ")
 
     def test_bessel_j_at_400(self, capsys):
         rc, out, _ = run(capsys, "specfun", "bessel-j", "--order", "0.5",

@@ -228,11 +228,12 @@ class TestNoAliasing:
 
 
 # SHA-256 pins of the three-term recurrence in value space (eval_poly_table)
-# and coefficient space (linearization rows, n-step laws): any change to the
-# order of its floating-point operations changes these digests.
+# and coefficient space (linearization rows, and n-step laws through the band
+# it builds): any change to the order of its floating-point operations changes
+# these digests.
 POLY_TABLE_SHA256 = "273d5610ce2d4b9c54437f6b811912f1a9e002018470b47441de84f201a15632"
 LINEARIZATION_SHA256 = "cb815c3d66ae308fb768dc6e4233d1968b5145c926d1d043b2ca714a931d2515"
-N_STEP_SHA256 = "4d5def64d83f3c8fbd2b54e2b887cc6312c73169f9c3e5b069e9d52c9a693804"
+N_STEP_SHA256 = "f8bbc24561dfb488e9e960fcc2fa91be1a4a68765549e81022a580422d6dbcbf"
 
 
 class TestRecurrenceBits:

@@ -90,20 +90,25 @@ TINY = 2.0**-1022  # the smallest normal double, below which n_step flushes
 def _full_length_laws(
     kernel: GegenbauerKernel, x: int, horizons: list[int], flush: bool = True
 ) -> dict[int, np.ndarray]:
-    """The n-step loop before it ran on the live window: each step applies
-    _poly_apply and _clamp_roundoff to the whole vector of length
-    x + step * smax + 1, then, with ``flush``, zeroes the trailing entries
-    below TINY as n_step does.  Returns a copy of the vector at each
-    horizon.
+    """The n-step loop without the live window: each step applies the band
+    of hypergroup._band to the whole vector of length x + step * smax + 1,
+    diagonal by diagonal in the order n_step uses, then, with ``flush``,
+    zeroes the trailing entries below TINY as n_step does.  Returns a
+    copy of the vector at each horizon.
     """
-    a, mu_items = kernel.idx.alpha, list(kernel.step_measure.items())
+    smax = kernel.step_measure.max_state
+    band = hypergroup._band(kernel, x + max(horizons) * smax + 1)
     v = np.zeros(x + 1)
     v[x] = 1.0
     laws = {}
     step = 0
     for target in sorted(horizons):
         while step < target:
-            v = _clamp_roundoff(_poly_apply(a, mu_items, v))
+            out = np.zeros(v.size + smax)
+            for k in range(2 * smax + 1):
+                lo = min(max(smax - k, 0), v.size)
+                out[lo + k - smax : v.size + k - smax] += band[k, lo : v.size] * v[lo:]
+            v = out
             top = v.size - 1
             while flush and top > 0 and v[top] < TINY:
                 v[top] = 0.0
@@ -541,19 +546,12 @@ class TestMassDrift:
     @pytest.fixture
     def leaky_operator(self, monkeypatch):
         # an operator that creates mass: every step scales the law by 1 + 1e-9
-        make = hypergroup._poly_operator
+        make = hypergroup._band
 
         def leaky(*args):
-            apply = make(*args)
+            return make(*args) * (1.0 + 1e-9)
 
-            def leaking(v, out):
-                res = apply(v, out)
-                res *= 1.0 + 1e-9
-                return res
-
-            return leaking
-
-        monkeypatch.setattr(hypergroup, "_poly_operator", leaky)
+        monkeypatch.setattr(hypergroup, "_band", leaky)
 
     def test_drift_raises_consistency_error(self, leaky_operator):
         k = GegenbauerKernel(QUARTER, MIX)
@@ -565,6 +563,59 @@ class TestMassDrift:
         k = GegenbauerKernel(QUARTER, MIX)
         with pytest.raises(ConsistencyError, match=r"n=8 has total mass 1\+8\.000e-09"):
             return_probabilities(k, 0, 0, 8)
+
+
+BAND_CASES = [
+    (-0.25, MIX),
+    (-0.25, SparseMeasure({1: 0.25, 2: 0.5, 5: 0.25})),
+    (1.3, SparseMeasure({0: 0.2, 1: 0.3, 3: 0.5})),
+    (-0.5, DELTA1),
+]
+BAND_IDS = ["mixed", "three-atom", "lazy", "unit"]
+
+
+class TestBand:
+    # the one-step operator as its 2 * smax + 1 diagonals, built once per sweep
+    @pytest.mark.parametrize("alpha,mu", BAND_CASES, ids=BAND_IDS)
+    def test_columns_are_poly_apply_bit_for_bit(self, alpha, mu):
+        # up to the round-off floor: on the three-atom step, p(3, 0) comes
+        # out of the recurrence at -1.2e-17 and the band holds 0.0
+        k = GegenbauerKernel(HypergroupIndex(alpha), mu)
+        smax, size = mu.max_state, 40
+        band = hypergroup._band(k, size)
+        assert band.shape == (2 * smax + 1, size)
+        for j in range(size):
+            e = np.zeros(size)
+            e[j] = 1.0
+            want = np.maximum(_poly_apply(alpha, list(mu.items()), e), 0.0)
+            col = np.zeros(size + smax)
+            for d in range(-smax, smax + 1):
+                if j + d >= 0:
+                    col[j + d] = band[smax + d, j]
+                else:
+                    assert band[smax + d, j] == 0.0
+            assert col.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha,mu", BAND_CASES, ids=BAND_IDS)
+    def test_columns_sum_to_one(self, alpha, mu):
+        band = hypergroup._band(GegenbauerKernel(HypergroupIndex(alpha), mu), 200)
+        assert np.all(np.abs(band.sum(axis=0) - 1.0) <= 1e-14)
+
+    @pytest.mark.parametrize("alpha,mu", BAND_CASES, ids=BAND_IDS)
+    def test_negative_entry_refused_before_any_step(self, alpha, mu, monkeypatch):
+        real = hypergroup._poly_apply
+
+        def negative(*args):
+            out = real(*args)
+            out[0] = -1e-6
+            return out
+
+        monkeypatch.setattr(hypergroup, "_poly_apply", negative)
+        k = GegenbauerKernel(HypergroupIndex(alpha), mu)
+        with pytest.raises(ConsistencyError, match="negative probability -1.000e-06"):
+            n_step(k, 0, 5)
+        with pytest.raises(ConsistencyError):
+            next(hypergroup._sweep(k, 0, 5))  # the band refuses before step 0 is yielded
 
 
 class TestReturnProbabilities:

@@ -71,6 +71,11 @@ class TestGamma:
     def test_overflow_returns_inf(self):
         assert sf.gamma_fn(200.0) == math.inf
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            sf.gamma_fn(x)
+
     @given(st.floats(min_value=0.05, max_value=80.0))
     def test_recurrence(self, x):
         assert sf.gamma_fn(x + 1.0) == pytest.approx(x * sf.gamma_fn(x), rel=1e-11)
@@ -373,6 +378,16 @@ class TestBesselMarginalDensity:
             sf.bessel_marginal_density(-1.0, 1.0)
         with pytest.raises(ValueError):
             sf.bessel_marginal_density(0.0, -1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            sf.bessel_marginal_density(0.0, x)
+
+    @pytest.mark.parametrize("index", [math.nan, -1.0, -math.inf])
+    def test_index_not_above_minus_one_raises(self, index):
+        with pytest.raises(ValueError, match="index must be > -1"):
+            sf.bessel_marginal_density(index, 1.0)
 
 
 class TestMittagLefflerDist:
