@@ -48,6 +48,9 @@ DEFAULT_STATE_CAP = 1_000_000
 _FLUSH_FLOOR = np.finfo(float).tiny
 # round-off lets an n-step law's total mass drift from 1 by O(n * eps)
 _MASS_DRIFT_TOL = 1e-10
+# caps a band's (2*smax+1) doubles per state times the smax+1 passes its build
+# makes over them: at most 7e6 doubles (56 MB) and 2^25 element updates
+_BAND_CAP = 2**25
 
 # hand-typed masses may carry decimal round-off; within this tolerance
 # SparseMeasure.parse accepts them and renormalizes to an exact probability vector
@@ -270,13 +273,18 @@ def _band(kernel: GegenbauerKernel, size: int) -> np.ndarray:
 
     Basis vectors 2*smax+1 apart have disjoint images, so one _poly_apply
     of their sum (a comb) gives each of their columns bit for bit.  The
-    round-off floor is checked and applied once, here.
+    round-off floor is checked and applied once, here.  The build costs
+    O(smax^2) per state, so it refuses, before allocating, past a state
+    cap of _BAND_CAP // ((smax+1) * (2*smax+1)), which binds from smax = 4.
     """
     smax = kernel.step_measure.max_state
     width = 2 * smax + 1
+    cap = _BAND_CAP // ((smax + 1) * width)
+    if size > cap:
+        raise StateCapError(f"a step up to {smax} has a band state cap of {cap}", required=size)
     band = np.empty((width, size))
     image = np.zeros(size + 2 * smax)  # image[smax + i] is entry i of a comb's image
-    for r in range(width):
+    for r in range(min(width, size)):  # a comb from r >= size would be empty
         comb = np.zeros(size)
         comb[r::width] = 1.0
         image[smax:] = _poly_apply(kernel.idx.alpha, list(kernel.step_measure.items()), comb)
@@ -288,12 +296,12 @@ def _band(kernel: GegenbauerKernel, size: int) -> np.ndarray:
 def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarray, float]]:
     """Yield (v[:hi + 1], flushed mass so far) after each of steps 0..n.
 
-    One sweep of the one-step operator from delta_x.  The operator is
+    One sweep of the one-step operator from delta_x.  For n >= 1 it is
     built once per sweep, as its band on the x + n*smax + 1 states the
-    sweep can reach, (2*smax+1) * (x + n*smax + 1) doubles, and its
-    round-off floor is checked there.  Each step is then 2*smax+1
-    shifted multiply-adds on the live window.  The yielded window is a
-    view of a buffer that the next step overwrites.
+    sweep can reach, (2*smax+1) * (x + n*smax + 1) doubles, with its
+    round-off floor checked there.  Each step is then 2*smax+1 shifted
+    multiply-adds on the live window.  The yielded window is a view of
+    a buffer that the next step overwrites.
     """
     smax = kernel.step_measure.max_state
     needed = x + n * smax + 1
@@ -302,7 +310,7 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
             f"n_step(x={x}, n={n}) exceeds the state cap {DEFAULT_STATE_CAP}",
             required=needed,
         )
-    band = _band(kernel, needed)
+    band = _band(kernel, needed) if n else None  # step 0 needs no operator
     v, w, prod = np.zeros(needed), np.zeros(needed), np.empty(needed)  # v, w ping-pong
     v[x] = 1.0
     hi = x  # only v[:hi + 1] is read; entries past hi are not kept at zero
@@ -353,12 +361,14 @@ def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
 
     The support can reach x + n * smax, with smax = max(support of mu);
     past DEFAULT_STATE_CAP states the computation refuses loudly, before
-    allocating, rather than cut to fit.  The band of the one-step operator
-    is built once per sweep, (2*smax+1) * (x + n*smax + 1) doubles, and a
-    negative entry beyond round-off raises ConsistencyError there, before
-    any step.  Each step runs on the live window [0, hi]; then the
-    trailing masses below tau = 2^-1022 are set to zero and hi moves back
-    to the last mass of at least tau.  The flushed total, at most
+    allocating, rather than cut to fit.  For n >= 1 the band of the
+    one-step operator, (2*smax+1) * (x + n*smax + 1) doubles, is built
+    once per sweep (it pays off when n is large against smax; from
+    smax = 4 its state cap is lower, see _band), and a negative entry
+    beyond round-off raises ConsistencyError there, before any step.
+    Each step runs on the live window [0, hi]; then the trailing masses
+    below tau = 2^-1022 are set to zero and hi moves back to the last
+    mass of at least tau.  The flushed total, at most
     n * (x + n * smax + 1) * tau, bounds the l1 error of the law.  A drift
     of the total mass from 1 beyond 1e-10 raises ConsistencyError.
     """

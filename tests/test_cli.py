@@ -204,6 +204,8 @@ class TestStateCap:
         [
             ["kernel", "--alpha", "-0.5", "--mu", "1:1", "--x", "0",
              "--n", "2000000"],
+            ["kernel", "--alpha", "-0.25", "--mu", "1:0.5,200:0.5", "--x", "0",
+             "--n", "10"],
             ["verify-llt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
              "--x", "0", "--y", "0", "--n", "64,600000"],
             ["verify-lt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
@@ -212,7 +214,7 @@ class TestStateCap:
             ["localtime", "--alpha", "-0.5", "--mu", "1:1", "--x", "999990",
              "--y", "0", "--n", "10", "--replicas", "100", "--seed", "1"],
         ],
-        ids=["kernel", "verify-llt", "verify-lt", "localtime"],
+        ids=["kernel", "kernel-wide-step", "verify-llt", "verify-lt", "localtime"],
     )
     def test_state_cap_is_exit_2(self, capsys, argv):
         rc, out, err = run(capsys, *argv)

@@ -617,6 +617,43 @@ class TestBand:
         with pytest.raises(ConsistencyError):
             next(hypergroup._sweep(k, 0, 5))  # the band refuses before step 0 is yielded
 
+    def test_state_cap_binds_only_from_smax_4(self):
+        def cap(smax):
+            return hypergroup._BAND_CAP // ((smax + 1) * (2 * smax + 1))
+
+        assert cap(3) >= DEFAULT_STATE_CAP > cap(4)
+
+    def test_wide_step_refused_at_its_state_cap(self):
+        # the build costs O(smax^2) per state, however short the horizon
+        k = GegenbauerKernel(QUARTER, SparseMeasure({1: 0.5, 40: 0.5}))
+        cap = hypergroup._BAND_CAP // (41 * 81)
+        assert hypergroup._band(k, cap).shape == (81, cap)
+        with pytest.raises(StateCapError) as exc:
+            hypergroup._band(k, cap + 1)
+        assert exc.value.required == cap + 1
+
+    def test_wide_short_horizon_refused_before_building(self, monkeypatch):
+        # a 4001 x 2001 band built by 4001 length-2001 recurrences for one step
+        def unreachable(*args):
+            raise AssertionError("the band was built")
+
+        monkeypatch.setattr(hypergroup, "_poly_apply", unreachable)
+        k = GegenbauerKernel(QUARTER, SparseMeasure({2000: 1.0}))
+        with pytest.raises(StateCapError, match="a step up to 2000 has a band state cap of 4"):
+            n_step(k, 0, 1)
+        with pytest.raises(StateCapError):
+            return_probabilities(k, 0, 0, 1)
+
+    @pytest.mark.parametrize("mu", [MIX, SparseMeasure({2000: 1.0})], ids=["mixed", "wide"])
+    def test_step_zero_builds_no_band(self, mu, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the band was built")
+
+        monkeypatch.setattr(hypergroup, "_band", unreachable)
+        k = GegenbauerKernel(QUARTER, mu)
+        assert n_step(k, 7, 0) == SparseMeasure({7: 1.0})
+        assert return_probabilities(k, 7, 7, 0)[0].tolist() == [1.0]
+
 
 class TestReturnProbabilities:
     @pytest.mark.parametrize("alpha,mu", [(-0.25, MIX), (-0.5, DELTA1)], ids=["mixed", "unit"])
