@@ -299,9 +299,10 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
     One sweep of the one-step operator from delta_x.  For n >= 1 it is
     built once per sweep, as its band on the x + n*smax + 1 states the
     sweep can reach, (2*smax+1) * (x + n*smax + 1) doubles, with its
-    round-off floor checked there.  Each step is then 2*smax+1 shifted
-    multiply-adds on the live window.  The yielded window is a view of
-    a buffer that the next step overwrites.
+    round-off floor checked there.  Each step is then one shifted
+    multiply-add on the live window per diagonal that is not zero
+    throughout.  The yielded window is a view of a buffer that the next
+    step overwrites.
     """
     smax = kernel.step_measure.max_state
     needed = x + n * smax + 1
@@ -311,6 +312,9 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
             required=needed,
         )
     band = _band(kernel, needed) if n else None  # step 0 needs no operator
+    # Diagonals that are zero throughout (d = 0 for the unit step, every
+    # even d for a step on one parity) would only add +0.0; skip them.
+    live = [k for k in range(2 * smax + 1) if band[k].any()] if n else []
     v, w, prod = np.zeros(needed), np.zeros(needed), np.empty(needed)  # v, w ping-pong
     v[x] = 1.0
     hi = x  # only v[:hi + 1] is read; entries past hi are not kept at zero
@@ -318,7 +322,7 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
     yield v[: hi + 1], flushed
     for _ in range(n):
         w[: hi + smax + 1] = 0.0
-        for k in range(2 * smax + 1):  # p(j, j + d) v[j] lands on j + d, d = k - smax
+        for k in live:  # p(j, j + d) v[j] lands on j + d, d = k - smax
             lo = min(max(smax - k, 0), hi + 1)  # the first j with j + d >= 0
             np.multiply(band[k, lo : hi + 1], v[lo : hi + 1], out=prod[lo : hi + 1])
             w[lo + k - smax : hi + 1 + k - smax] += prod[lo : hi + 1]

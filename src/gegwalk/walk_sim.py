@@ -35,6 +35,8 @@ _CHUNK = 512
 # Steps recorded between visit tallies.  The int32 slice buffer takes
 # 1 MiB per block, and the tally's temporaries are of the same order.
 _SLICE = 64
+# Replica rows per tile of the chunk transpose.
+_TILE = 128
 _ROW_CACHE = 4096
 
 
@@ -88,10 +90,10 @@ class LocalTimeSamples:
 
     def to_csv(self) -> str:
         """Rows ``replica,y,count``, replica-major, targets in given order."""
+        cells = [f",{y}," for y in self.targets]
         lines = ["replica,y,count"]
-        for r in range(self.replicas):
-            for j, y in enumerate(self.targets):
-                lines.append(f"{r},{y},{self.counts[r, j]}")
+        for r, row in enumerate(self.counts.tolist()):
+            lines.extend(f"{r}{cell}{c}" for cell, c in zip(cells, row))
         return "\n".join(lines) + "\n"
 
     def summary(self, scale: float = 1.0) -> dict:
@@ -187,10 +189,14 @@ def simulate_replica(config: WalkConfig, replica: int) -> tuple[int, dict]:
 class _RowTable:
     """Sampling-CDF table over states lo, lo + 1, ..., stored by column.
 
-    `cols[j][x - lo]` is entry j of `_row_cdf(x)`, the same doubles the
-    scalar path reads.  A walk of `horizon` steps from `start` never
-    goes below lo = max(0, start - horizon * smax), so no row under lo
-    is built; the top grows on demand.
+    Entry j of `_row_cdf(x)`, the same doubles the scalar path reads, is
+    `full[j][x - lo]`.  Adjacent entries that are equal at every built
+    state (the unit step's (p, p), the parity gaps of a step on one
+    parity) are merged: `cols` holds each distinct column once and
+    `mult` how many entries it stands for, so a uniform u moves the
+    walker by sum(k * (col[x - lo] <= u)) - smax.  A walk of `horizon`
+    steps from `start` never goes below lo = max(0, start - horizon * smax),
+    so no row under lo is built; the top grows on demand.
     """
 
     def __init__(self, config: WalkConfig):
@@ -198,7 +204,7 @@ class _RowTable:
         self.mu_items = tuple(config.mu.items())
         self.smax = config.mu.max_state
         self.lo = max(0, config.start - config.horizon * self.smax)
-        self.cols = np.empty((2 * self.smax, 0))
+        self.full = np.empty((2 * self.smax, 0))
         self.grow(config.start + 64 * self.smax)
 
     def grow(self, needed: int) -> None:
@@ -207,15 +213,18 @@ class _RowTable:
                 f"sampling-row table exceeds the state cap {DEFAULT_STATE_CAP}",
                 required=needed + 1,
             )
-        old = self.cols.shape[1]
-        new = np.empty((2 * self.smax, needed + 1 - self.lo))
-        new[:, :old] = self.cols
-        for i in range(old, new.shape[1]):
-            new[:, i] = _row_cdf(self.alpha, self.mu_items, self.lo + i)
-        self.cols = new
+        old = self.full.shape[1]
+        full = np.empty((2 * self.smax, needed + 1 - self.lo))
+        full[:, :old] = self.full
+        for i in range(old, full.shape[1]):
+            full[:, i] = _row_cdf(self.alpha, self.mu_items, self.lo + i)
+        self.full = full
+        first = [0] + [j for j in range(1, len(full)) if (full[j] != full[j - 1]).any()]
+        self.cols = full[first]
+        self.mult = np.diff(first + [len(full)]).tolist()
 
     def ensure(self, max_state: int) -> None:
-        if max_state + self.smax >= self.lo + self.cols.shape[1]:
+        if max_state + self.smax >= self.lo + self.full.shape[1]:
             self.grow(max_state + 64 * self.smax)
 
 
@@ -224,11 +233,12 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
 
     The step loop only steps: it records each step's states in a slice
     buffer of at most `_SLICE` steps.  After each slice one tally maps
-    the recorded states that are targets to their target index (by
-    binary search over the sorted distinct targets) and adds the visits
-    with one bincount; the k = 0 visit goes through the same tally.  The
-    row table grows once per slice, to the highest state the slice can
-    reach.  Returns per-replica counts (B x K int64) and terminal states.
+    the recorded states that are targets to their target index (through
+    a lookup array over states 0..largest target, -1 off the targets)
+    and adds the visits with one bincount; the k = 0 visit goes through
+    the same tally.  The row table grows once per slice, to the highest
+    state the slice can reach.  Returns per-replica counts (B x K int64)
+    and terminal states.
     """
     B = r1 - r0
     horizon = config.horizon
@@ -237,20 +247,21 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     smax = table.smax
 
     # Targets above every reachable state collapse into one column of
-    # zeros at `unreached`, so every target fits the int32 state buffer.
+    # zeros at `unreached`, so every target fits the int32 state buffer
+    # and the lookup array stays within the state cap.
     unreached = min(config.start + horizon * smax, DEFAULT_STATE_CAP) + 1
     ys = [min(y, unreached) for y in config.target_states]
     uniq, column = np.unique(np.array(ys, dtype=np.int32), return_inverse=True)
     Ku = len(uniq)
+    lut = np.full(uniq[-1] + 1, -1, dtype=np.int32)
+    lut[uniq] = np.arange(Ku, dtype=np.int32)
     hits = np.zeros(B * Ku, dtype=np.int64)
 
     def tally(states: np.ndarray) -> None:
         p = np.flatnonzero(states <= uniq[-1])
-        v = states.ravel()[p]
-        j = np.searchsorted(uniq, v)
-        keep = uniq[j] == v
-        p, j = p[keep], j[keep]
-        hits[:] += np.bincount((p % B) * Ku + j, minlength=B * Ku)
+        j = lut[states.ravel()[p]]
+        keep = np.flatnonzero(j >= 0)
+        hits[:] += np.bincount(p[keep] % B * Ku + j[keep], minlength=B * Ku)
 
     S = np.full(B, config.start, dtype=np.int64)
     tally(S[None, :])  # the k = 0 visit
@@ -264,16 +275,19 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
         T = min(chunk, horizon - done)
         for i, g in enumerate(gens):
             g.random(out=U[i, :T])
-        np.copyto(Ut[:T], U[:, :T].T)
+        for i in range(0, B, _TILE):  # a transpose in tiles stays in cache
+            np.copyto(Ut[:T, i : i + _TILE], U[i : i + _TILE, :T].T)
         for s0 in range(0, T, _SLICE):
             L = min(_SLICE, T - s0)
             table.ensure(int(S.max()) + L * smax)
-            lo, cols = table.lo, table.cols
+            lo, cols, mult = table.lo, table.cols, table.mult
             for t in range(L):
-                here = S - lo
+                u = Ut[s0 + t]
+                here = S - lo if lo else S
+                moves = [col[here] <= u for col in cols]  # gathered before S moves
                 S -= smax
-                for col in cols:
-                    S += col[here] <= Ut[s0 + t]
+                for k, m in zip(mult, moves):
+                    S += m if k == 1 else k * m
                 buf[t] = S
             tally(buf[:L])
         done += T

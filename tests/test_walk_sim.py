@@ -139,6 +139,18 @@ class TestRowTable:
                               replicas=100, targets=(8000,)))
         assert _row_cdf.cache_info().misses <= 2 * n * smax + 64 * smax + 1
 
+    @pytest.mark.parametrize("mu, mult", [
+        (D1, [2]),  # the row is (p, p)
+        (MIX, [1, 1, 1, 1]),
+        (SparseMeasure({1: 0.5, 3: 0.5}), [2, 2, 2]),  # a parity gap after every cut
+    ])
+    def test_equal_columns_are_merged(self, mu, mult):
+        table = walk_sim._RowTable(cfg(idx=QUARTER, mu=mu, horizon=300))
+        assert table.mult == mult
+        first = np.cumsum([0] + mult[:-1])
+        assert np.array_equal(table.cols, table.full[first])
+        assert np.array_equal(np.repeat(table.cols, mult, axis=0), table.full)
+
     @pytest.mark.parametrize("mu", [D1, MIX])
     def test_table_never_outgrows_the_walk(self, mu, monkeypatch):
         # at alpha = 1000 the walk climbs at almost every step, so the
@@ -284,8 +296,10 @@ class TestMeanVisitsCurve:
 
 # SHA-256 of counts.tobytes() + terminal.tobytes() and of to_csv() for each
 # case below, recorded from the per-step engine before the count moved out
-# of its step loop.  Horizons avoid multiples of 64 and 512; the mixed case
-# spans two full 4096-replica blocks and a one-replica block.
+# of its step loop (odd_steps: from the binary-search tally, before the
+# lookup-array tally and the merged CDF columns).  Horizons avoid multiples
+# of 64 and 512; the mixed case spans two full 4096-replica blocks and a
+# one-replica block.
 ENGINE_CASES = {
     "unit": cfg(targets=tuple(range(0, 40, 2)) + (0, 10**12), horizon=1100,
                 replicas=600, seed=3),
@@ -297,6 +311,10 @@ ENGINE_CASES = {
                     replicas=700, targets=(2000, 1990, 2040), seed=6),
     "no_steps": cfg(mu=SparseMeasure({2: 0.5, 4: 0.5}), start=2000, horizon=0,
                     replicas=70, targets=(2000, 2002), seed=7),
+    # a step on odd states from 0: its row's cut points come in equal
+    # adjacent pairs at every state, with the table starting at lo = 0
+    "odd_steps": cfg(idx=QUARTER, mu=SparseMeasure({1: 0.5, 3: 0.5}), horizon=613,
+                     replicas=4500, targets=(0, 1, 4, 3, 12, 0, 2000), seed=8),
 }
 ENGINE_SHA256 = {
     "unit": (
@@ -318,6 +336,10 @@ ENGINE_SHA256 = {
     "no_steps": (
         "a80c8602e25c54d7c2f2b7e0db8becf4be3308c901f994d27d1ffc48096e15ab",
         "f30bac9caaf742c400abe6f96060d907fbceb7ea7f68f25ccd00a55a4b560968",
+    ),
+    "odd_steps": (
+        "8b95edad9a9e759911a285d66bb8ab5f7755b7688134a13bf314b285ebd0292e",
+        "015e4c1651cbab8dcb08e27bea103d5c1578dc254783d4f663eeee579c6cbfc8",
     ),
 }
 
