@@ -313,7 +313,8 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
         )
     band = _band(kernel, needed) if n else None  # step 0 needs no operator
     # Diagonals that are zero throughout (d = 0 for the unit step, every
-    # even d for a step on one parity) would only add +0.0; skip them.
+    # even d for a step on odd states, every odd d for one on even states)
+    # would only add +0.0; skip them.
     live = [k for k in range(2 * smax + 1) if band[k].any()] if n else []
     v, w, prod = np.zeros(needed), np.zeros(needed), np.empty(needed)  # v, w ping-pong
     v[x] = 1.0

@@ -147,8 +147,6 @@ class TestRowTable:
     def test_equal_columns_are_merged(self, mu, mult):
         table = walk_sim._RowTable(cfg(idx=QUARTER, mu=mu, horizon=300))
         assert table.mult == mult
-        first = np.cumsum([0] + mult[:-1])
-        assert np.array_equal(table.cols, table.full[first])
         assert np.array_equal(np.repeat(table.cols, mult, axis=0), table.full)
 
     @pytest.mark.parametrize("mu", [D1, MIX])
