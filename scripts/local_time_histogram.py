@@ -20,7 +20,7 @@ import numpy as np
 
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
-from gegwalk.specfun import MittagLefflerDist
+from gegwalk.specfun import ml_density
 from gegwalk.verify import local_time_scale, local_time_scale_constant
 from gegwalk.walk_sim import WalkConfig, local_time_counts
 
@@ -43,7 +43,6 @@ def main() -> int:
     idx = HypergroupIndex(args.alpha)
     mu = SparseMeasure.parse(args.mu)
     K = local_time_scale_constant(idx, mu, args.y)
-    dist = MittagLefflerDist(-args.alpha)
 
     print("series,x,value")
     hi = 0.0
@@ -58,7 +57,7 @@ def main() -> int:
             print(f"n={n},{float(x)!r},{float(v)!r}")
 
     for x in np.linspace(1e-3, hi, 200):
-        print(f"limit,{float(x)!r},{dist.density(float(x) / K) / K!r}")
+        print(f"limit,{float(x)!r},{ml_density(-args.alpha, float(x) / K) / K!r}")
     return 0
 
 

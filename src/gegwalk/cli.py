@@ -38,7 +38,7 @@ from .specfun import (
     ml_sample,
 )
 from .verify import check_llt, check_local_time_limit, local_time_scale
-from .walk_sim import WalkConfig, local_time_counts
+from .walk_sim import WalkConfig, _check_seed, _replica_rng, local_time_counts
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _parse_mu(spec: str) -> SparseMeasure:
     """SparseMeasure.parse, with a bad spec reported as a usage error."""
     try:
         return SparseMeasure.parse(spec)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise UsageError(f"cannot parse step measure {spec!r}: {e}")
 
 
@@ -83,6 +83,9 @@ def _make_config(args, targets) -> WalkConfig:
 
 
 def cmd_kernel(args) -> int:
+    if args.full_precision and args.format == "json":
+        raise UsageError("--full-precision applies to CSV only: JSON masses are "
+                         "shortest round-trip doubles")
     kernel = GegenbauerKernel(HypergroupIndex(args.alpha), _parse_mu(args.mu))
     law = n_step(kernel, args.x, args.n)
     if args.format == "json":
@@ -116,6 +119,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_localtime(args) -> int:
+    if args.scale is not None and args.format != "json":
+        raise UsageError("--scale applies to the --format json summary only")
     targets = _parse_n_list(args.y)
     cfg = _make_config(args, targets)
     lt = local_time_counts(cfg, threads=args.threads)
@@ -162,10 +167,14 @@ def cmd_verify_lt(args) -> int:
 
 
 def _ml_draws(order: float, size: int, seed: int) -> np.ndarray:
-    return ml_sample(order, np.random.Generator(np.random.Philox(key=[seed, 0])), size)
+    if size < 1:
+        raise UsageError(f"--size must be >= 1, got {size}")
+    _check_seed(seed)
+    return ml_sample(order, _replica_rng(seed, 0), size)
 
 
-# op -> (function, the flags it requires, in argument order)
+# op -> (function, the flags it requires, in argument order); each op's
+# sub-parser declares exactly these flags, all required
 _SPECFUN = {
     "ml-moment": (ml_moment, ("order", "p")),
     "ml-density": (ml_density, ("order", "x")),
@@ -178,11 +187,18 @@ _SPECFUN = {
 }
 
 
+# specfun flag -> (type, help)
+_SPECFUN_FLAGS = {
+    "order": (float, "distribution or Bessel order"),
+    "p": (int, "moment index"),
+    "x": (float, "evaluation point"),
+    "size": (int, "number of draws"),
+    "seed": (int, "root seed, below 2^64"),
+}
+
+
 def cmd_specfun(args) -> int:
     fn, flags = _SPECFUN[args.op]
-    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
-    if missing:
-        raise UsageError(f"{args.op} requires {', '.join(missing)}")
     result = fn(*(getattr(args, f) for f in flags))
     # ml-sample prints one draw per line; every other op one value
     values = result if args.op == "ml-sample" else [result]
@@ -334,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "values and samples; Bessel I/J; the Bessel-process "
                     "marginal density; Gamma.",
     )
-    sp.add_argument("op", choices=tuple(_SPECFUN))
-    sp.add_argument("--order", type=float, help="distribution or Bessel order")
-    sp.add_argument("--p", type=int, help="moment index (ml-moment)")
-    sp.add_argument("--x", type=float, help="evaluation point")
-    sp.add_argument("--size", type=int, help="number of draws (ml-sample)")
-    sp.add_argument("--seed", type=int, help="root seed (ml-sample)")
-    _add_output(sp, fmt_default=None, full_precision=True)
+    ops = sp.add_subparsers(dest="op", required=True)
+    for op, (_, flags) in _SPECFUN.items():
+        osp = ops.add_parser(op)
+        for flag in flags:
+            kind, text = _SPECFUN_FLAGS[flag]
+            osp.add_argument(f"--{flag}", type=kind, required=True, help=text)
+        _add_output(osp, fmt_default=None, full_precision=True)
     sp.set_defaults(func=cmd_specfun)
 
     return p

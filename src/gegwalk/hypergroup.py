@@ -139,27 +139,6 @@ class SparseMeasure:
 
     # -- serialization -----------------------------------------------
 
-    def to_csv(self) -> str:
-        """Two-column text, ``state,mass``, one row per support point.
-
-        Masses use shortest round-trip decimals, so parsing the text
-        recovers the exact doubles.
-        """
-        lines = ["state,mass"]
-        lines += [f"{s},{m!r}" for s, m in self.items()]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, **kwargs) -> "SparseMeasure":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        if not rows or rows[0].strip() != "state,mass":
-            raise ValueError("SparseMeasure.from_csv: expected 'state,mass' header")
-        pairs = []
-        for ln in rows[1:]:
-            s, _, m = ln.partition(",")
-            pairs.append((int(s), float(m)))
-        return cls(pairs, **kwargs)
-
     def to_json(self, alpha: float | None = None) -> str:
         """JSON object {alpha, entries:{state: mass}}; keys in state order."""
         doc = {
@@ -169,27 +148,27 @@ class SparseMeasure:
         return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str, **kwargs) -> tuple["SparseMeasure", float | None]:
-        """Inverse of to_json; returns the measure and the stored alpha."""
-        doc = json.loads(text)
-        mu = cls({int(s): float(m) for s, m in doc["entries"].items()}, **kwargs)
-        return mu, doc.get("alpha")
-
-    @classmethod
     def parse(cls, spec: str) -> "SparseMeasure":
-        """Step measure from ``state:mass,...`` or from a CSV/JSON file path.
+        """Step measure from ``state:mass,...`` or from a file path.
 
-        Hand-typed masses may carry decimal round-off: they must sum to 1
-        within 1e-9 and are renormalized by their exact sum.
+        A file holds the JSON of to_json (its alpha is not read) or CSV
+        text under a ``state,mass`` header.  Hand-typed masses may carry
+        decimal round-off: they must sum to 1 within 1e-9 and are
+        renormalized by their exact sum.
         """
         if os.path.isfile(spec):
             with open(spec) as fh:
                 text = fh.read()
             if text.lstrip().startswith("{"):
-                read, _ = cls.from_json(text, total_tol=_PARSE_SUM_TOL)
+                entries = json.loads(text).get("entries")
+                if not isinstance(entries, dict):
+                    raise ValueError("a JSON step measure needs an 'entries' object")
+                pairs = [(int(s), float(m)) for s, m in entries.items()]
             else:
-                read = cls.from_csv(text, total_tol=_PARSE_SUM_TOL)
-            pairs = list(read.items())
+                rows = [ln for ln in text.splitlines() if ln.strip()]
+                if not rows or rows[0].strip() != "state,mass":
+                    raise ValueError("a CSV step measure needs a 'state,mass' header")
+                pairs = [(int(s), float(m)) for s, _, m in (ln.partition(",") for ln in rows[1:])]
         else:
             pairs = []
             for item in spec.split(","):
@@ -257,11 +236,8 @@ def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
     """
     if x < 0:
         raise ValueError("kernel_row: state must be >= 0")
-    mu = kernel.step_measure
-    if x == 0:
-        return mu
     acc: dict[int, float] = {}
-    for s, m in mu.items():
+    for s, m in kernel.step_measure.items():
         for k, c in linearization(kernel.idx, x, s).coeffs.items():
             acc[k] = acc.get(k, 0.0) + m * c
     return SparseMeasure(acc, total_tol=1e-10)
@@ -294,7 +270,7 @@ def _band(kernel: GegenbauerKernel, size: int) -> np.ndarray:
 
 
 def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield (v[:hi + 1], flushed mass so far) after each of steps 0..n.
+    """Yield (the law on states 0..hi, flushed mass so far) after each of steps 0..n.
 
     One sweep of the one-step operator from delta_x.  For n >= 1 it is
     built once per sweep, as its band on the x + n*smax + 1 states the
@@ -316,24 +292,26 @@ def _sweep(kernel: GegenbauerKernel, x: int, n: int) -> Iterator[tuple[np.ndarra
     # even d for a step on odd states, every odd d for one on even states)
     # would only add +0.0; skip them.
     live = [k for k in range(2 * smax + 1) if band[k].any()] if n else []
-    v, w, prod = np.zeros(needed), np.zeros(needed), np.empty(needed)  # v, w ping-pong
-    v[x] = 1.0
-    hi = x  # only v[:hi + 1] is read; entries past hi are not kept at zero
+    # v, w ping-pong and hold state i at index smax + i: a diagonal's
+    # products from states j with j + d < 0, all +0.0, land in the unread
+    # padding below smax
+    v, w, prod = np.zeros(needed + smax), np.zeros(needed + smax), np.empty(needed)
+    v[smax + x] = 1.0
+    hi = x  # only states 0..hi are read; entries past hi are not kept at zero
     flushed = 0.0  # mass set to zero at the trailing edge so far
-    yield v[: hi + 1], flushed
+    yield v[smax : smax + hi + 1], flushed
     for _ in range(n):
-        w[: hi + smax + 1] = 0.0
+        w[: hi + 2 * smax + 1] = 0.0
         for k in live:  # p(j, j + d) v[j] lands on j + d, d = k - smax
-            lo = min(max(smax - k, 0), hi + 1)  # the first j with j + d >= 0
-            np.multiply(band[k, lo : hi + 1], v[lo : hi + 1], out=prod[lo : hi + 1])
-            w[lo + k - smax : hi + 1 + k - smax] += prod[lo : hi + 1]
+            np.multiply(band[k, : hi + 1], v[smax : smax + hi + 1], out=prod[: hi + 1])
+            w[k : k + hi + 1] += prod[: hi + 1]
         v, w = w, v
         hi += smax
-        while hi > 0 and v[hi] < _FLUSH_FLOOR:
-            flushed += v[hi]
-            v[hi] = 0.0
+        while hi > 0 and v[smax + hi] < _FLUSH_FLOOR:
+            flushed += v[smax + hi]
+            v[smax + hi] = 0.0
             hi -= 1
-        yield v[: hi + 1], flushed
+        yield v[smax : smax + hi + 1], flushed
 
 
 def _check_mass(law: np.ndarray, n: int, flushed: float) -> None:

@@ -301,8 +301,8 @@ def _density_cutoff(order: float) -> float:
 class MittagLefflerDist:
     """Mittag-Leffler distribution of a given order in (0, 1).
 
-    Nonnegative law with moments p!/Gamma(order*p+1); ml_sample draws
-    from it.
+    Nonnegative law with moments p!/Gamma(order*p+1) (ml_moment) and
+    density ml_density; ml_sample draws from it.
     """
 
     order: float
@@ -310,12 +310,6 @@ class MittagLefflerDist:
     def __post_init__(self):
         if not 0.0 < self.order < 1.0:
             raise ValueError("MittagLefflerDist: order must lie in (0, 1)")
-
-    def moment(self, p: int) -> float:
-        return ml_moment(self.order, p)
-
-    def density(self, x: float) -> float:
-        return ml_density(self.order, x)
 
     def cdf_grid(self, xs: np.ndarray, npoints: int = 4097) -> np.ndarray:
         """CDF at many points via one dense cumulative integral.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .gegenbauer import HypergroupIndex, weight
 from .hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step_sequence
-from .specfun import MittagLefflerDist, gamma_fn
+from .specfun import MittagLefflerDist, gamma_fn, ml_moment
 from .walk_sim import WalkConfig, local_time_counts
 
 # Scaled local-time samples are clipped here before CDF evaluation, so
@@ -312,8 +312,7 @@ def check_local_time_limit(
     scale = local_time_scale(a, horizon)
     if a < 0.0:
         K = local_time_scale_constant(idx, mu, y)
-        dist = MittagLefflerDist(-a)
-        moment_pred = [K**p * dist.moment(p) for p in range(1, n_moments + 1)]
+        moment_pred = [K**p * ml_moment(-a, p) for p in range(1, n_moments + 1)]
         grid, cdf_vals = (np.array(t) for t in _ml_cdf_table(-a))
 
         def limit_cdf(t):

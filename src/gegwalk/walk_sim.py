@@ -66,8 +66,7 @@ class WalkConfig:
         if not targets or any(y < 0 for y in targets):
             raise ValueError("WalkConfig: target states must be a nonempty list of states")
         object.__setattr__(self, "target_states", targets)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("WalkConfig: seed must fit in 64 bits")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -126,8 +125,19 @@ class LocalTimeSamples:
         return json.dumps(self.summary(scale), indent=2, sort_keys=True)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+
+
 def _replica_rng(seed: int, r: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, r]))
+    """Replica r's Philox stream, keyed by the two 64-bit words (seed, r).
+
+    The key is built as uint64: from a list of ints numpy would pass a
+    seed of 2^63 or more through float64, so neighbouring seeds would
+    share one stream.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
 
 
 @lru_cache(maxsize=_ROW_CACHE)

@@ -42,9 +42,9 @@ class TestKernel:
                          "--mu", "1:0.5,2:0.5", "--x", "0", "--n", "3",
                          "--format", "json")
         assert rc == 0
-        law, alpha = SparseMeasure.from_json(out)
-        assert alpha == -0.25
-        assert abs(math.fsum(m for _, m in law.items()) - 1.0) < 1e-12
+        doc = json.loads(out)
+        assert doc["alpha"] == -0.25
+        assert abs(math.fsum(doc["entries"].values()) - 1.0) < 1e-12
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "law.csv"
@@ -97,7 +97,7 @@ class TestMuSpec:
 
     def test_csv_file_measure(self, capsys, tmp_path):
         path = tmp_path / "mu.csv"
-        path.write_text(SparseMeasure({1: 0.5, 2: 0.5}).to_csv())
+        path.write_text("state,mass\n1,0.5\n2,0.5\n")
         rc, out, _ = run(capsys, "kernel", "--alpha", "-0.25", "--mu",
                          str(path), "--x", "0", "--n", "1")
         assert rc == 0
@@ -381,8 +381,24 @@ class TestSpecfun:
         assert out.strip() == repr(2.0 / 3.141592653589793**0.5)
 
     def test_missing_flag(self, capsys):
-        rc, _, err = run(capsys, "specfun", "ml-moment", "--order", "0.5")
-        assert rc == 2 and "--p" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["specfun", "ml-moment", "--order", "0.5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--p" in err
+
+    def test_every_op_refuses_a_missing_or_unread_flag(self, capsys):
+        values = {"order": "0.5", "p": "1", "x": "1", "size": "2", "seed": "1"}
+        for op, (_, flags) in cli._SPECFUN.items():
+            given = [t for f in flags for t in (f"--{f}", values[f])]
+            unread = next(f for f in values if f not in flags)
+            for argv, why in ((given[:-2], "required"),
+                              (given + [f"--{unread}", "1"], "unrecognized arguments")):
+                with pytest.raises(SystemExit) as exc:
+                    main(["specfun", op, *argv])
+                assert exc.value.code == 2
+                out, err = capsys.readouterr()
+                assert out == "" and why in err
 
     def test_domain_error_is_exit_2(self, capsys):
         rc, _, _ = run(capsys, "specfun", "ml-moment", "--order", "2.0",
@@ -405,8 +421,12 @@ class TestSpecfun:
         ["bessel-marginal", "--order", "nan", "--x", "1"],
         ["gamma", "--x", "nan"],
         ["gamma", "--x", "inf"],
+        ["ml-sample", "--order", "0.5", "--size", "2", "--seed", "-1"],
+        ["ml-sample", "--order", "0.5", "--size", "2", "--seed", str(2**64)],
+        ["ml-sample", "--order", "0.5", "--size", "0", "--seed", "1"],
     ], ids=["marginal-nan-x", "marginal-inf-x", "marginal-nan-order", "gamma-nan",
-            "gamma-inf"])
+            "gamma-inf", "sample-negative-seed", "sample-seed-past-64-bits",
+            "sample-no-draws"])
     def test_non_finite_argument_is_exit_2(self, capsys, argv):
         rc, out, err = run(capsys, "specfun", *argv)
         assert rc == 2 and out == "" and err.startswith("gegwalk: ")
@@ -456,13 +476,26 @@ class TestRefusedFlags:
         ["verify-lt", "--alpha", "-0.5", "--mu", "1:1", "--y", "0",
          "--n", "100", "--replicas", "200", "--seed", "1", "--full-precision"],
         ["specfun", "gamma", "--x", "3", "--format", "json"],
-    ], ids=["simulate", "localtime", "verify-llt", "verify-lt", "specfun"])
+        ["specfun", "gamma", "--x", "2", "--order", "7", "--p", "3"],
+    ], ids=["simulate", "localtime", "verify-llt", "verify-lt", "specfun",
+            "specfun-unread-flags"])
     def test_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments" in err
+
+    # output flags that the chosen format would not read
+    @pytest.mark.parametrize("argv", [
+        ["localtime", "--alpha", "-0.5", "--mu", "1:1", "--y", "0",
+         "--n", "10", "--replicas", "4", "--seed", "1", "--scale", "3"],
+        ["kernel", "--alpha", "-0.5", "--mu", "1:1", "--x", "0", "--n", "2",
+         "--format", "json", "--full-precision"],
+    ], ids=["localtime-csv-scale", "kernel-json-full-precision"])
+    def test_output_flag_for_another_format_is_exit_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("gegwalk: ")
 
 
 class TestEntryPoint:

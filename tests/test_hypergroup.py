@@ -1,5 +1,6 @@
 """Tests for the convolution structure, kernels, and walk laws."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 from gegwalk import hypergroup
+from gegwalk.cli import main
 from gegwalk.errors import ConsistencyError, StateCapError
 from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, weight
 from gegwalk.hypergroup import (
@@ -268,30 +270,49 @@ class TestSparseMeasure:
 
 
 class TestSerialization:
-    def test_csv_round_trip_exact(self):
+    # parse is the one reader of step-measure files: the CSV the kernel
+    # command writes and the JSON of to_json
+    def test_csv_round_trip_exact(self, tmp_path):
         m = SparseMeasure({0: 1 / 3, 3: 1 / 3, 7: 1 / 3})
-        back = SparseMeasure.from_csv(m.to_csv())
+        path = tmp_path / "mu.csv"
+        path.write_text("state,mass\n" + "".join(f"{s},{v!r}\n" for s, v in m.items()))
+        back = SparseMeasure.parse(str(path))
         assert back == m  # repr round trip keeps every bit
 
-    def test_csv_header(self):
-        assert SparseMeasure({0: 1.0}).to_csv().splitlines()[0] == "state,mass"
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "law.csv"
+        assert main(["kernel", "--alpha", "-0.5", "--mu", "1:1", "--x", "0",
+                     "--n", "0", "--output", str(path)]) == 0
+        assert path.read_text().splitlines()[0] == "state,mass"
+        assert SparseMeasure.parse(str(path)) == SparseMeasure({0: 1.0})
 
-    def test_csv_rejects_garbage(self):
+    def test_csv_rejects_garbage(self, tmp_path):
+        path = tmp_path / "mu.csv"
+        path.write_text("state,mass\n1,not-a-number\n")
         with pytest.raises(ValueError):
-            SparseMeasure.from_csv("state,mass\n1,not-a-number\n")
+            SparseMeasure.parse(str(path))
+        path.write_text("wrong,header\n1,0.5\n")
         with pytest.raises(ValueError):
-            SparseMeasure.from_csv("wrong,header\n1,0.5\n")
+            SparseMeasure.parse(str(path))
 
-    def test_json_round_trip_with_alpha(self):
+    def test_json_round_trip_with_alpha(self, tmp_path):
         m = SparseMeasure({1: 0.5, 2: 0.5})
-        back, alpha = SparseMeasure.from_json(m.to_json(alpha=-0.25))
-        assert back == m
-        assert alpha == -0.25
+        path = tmp_path / "mu.json"
+        path.write_text(m.to_json(alpha=-0.25))
+        assert SparseMeasure.parse(str(path)) == m
+        assert json.loads(path.read_text())["alpha"] == -0.25
 
-    def test_json_round_trip_no_alpha(self):
-        back, alpha = SparseMeasure.from_json(DELTA1.to_json())
-        assert back == DELTA1
-        assert alpha is None
+    def test_json_round_trip_no_alpha(self, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_text(DELTA1.to_json())
+        assert SparseMeasure.parse(str(path)) == DELTA1
+        assert json.loads(path.read_text())["alpha"] is None
+
+    def test_json_without_entries_is_value_error(self, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_text('{"alpha": -0.25}')
+        with pytest.raises(ValueError, match="entries"):
+            SparseMeasure.parse(str(path))
 
     def test_parse_renormalizes_inline_and_file_specs(self, tmp_path):
         assert SparseMeasure.parse("1:0.5,2:0.5") == MIX
@@ -309,7 +330,8 @@ class TestSerialization:
 
     def test_walk_law_round_trip(self):
         law = n_step(GegenbauerKernel(QUARTER, MIX), 0, 6)
-        assert SparseMeasure.from_csv(law.to_csv()) == law
+        entries = json.loads(law.to_json())["entries"]
+        assert {int(s): m for s, m in entries.items()} == law.as_dict()
 
 
 class TestKernelConstruction:
@@ -508,7 +530,7 @@ class TestLiveWindowBytes:
         assert sorted(laws) == sorted(oracle)
         for n in horizons:
             want = SparseMeasure.from_array(oracle[n], total_tol=1e-10)
-            assert laws[n].to_csv() == want.to_csv()
+            assert laws[n].to_json() == want.to_json()
         if alpha == -0.25:
             # the mixed step's far tail underflows to exact zeros, so the
             # window is shorter than the full vector and the trim runs

@@ -235,6 +235,12 @@ class TestLocalTimeCounts:
         b = local_time_counts(cfg(horizon=50, replicas=500, seed=2))
         assert not np.array_equal(a.counts, b.counts)
 
+    def test_seeds_past_2_63_do_not_alias(self):
+        # a key passed through float64 would give 2^63 and 2^63 + 1 one stream
+        a = local_time_counts(cfg(horizon=1000, replicas=4, targets=(0, 2), seed=2**63))
+        b = local_time_counts(cfg(horizon=1000, replicas=4, targets=(0, 2), seed=2**63 + 1))
+        assert a.to_csv() != b.to_csv()
+
     @given(
         st.sampled_from([-0.5, -0.25, 0.0, 1.0]),
         st.integers(0, 3),
