@@ -230,14 +230,24 @@ def _add_model(sp):
                     help="step measure: state:mass,... or a CSV/JSON file")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or the CPU count
+    on a platform without one (``os.cpu_count`` ignores the mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _add_mc(sp):
     sp.add_argument("--replicas", type=int, required=True,
                     help="number of independent walks")
     sp.add_argument("--seed", type=int, required=True,
                     help="root seed (required: no silent nondeterminism)")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="replica fan-out (default: hardware count; "
-                         "never changes the output)")
+    sp.add_argument("--threads", type=int, default=_usable_cpus(),
+                    help="replica fan-out: worker processes (default: the "
+                         "CPUs this process may run on; never changes the "
+                         "output)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,11 @@ shifts if this off-by-one is introduced, so it is asserted in tests.
 
 Reproducibility contract: replica r draws from its own Philox stream
 keyed (seed, r).  Streams never interact, so results are bit-identical
-for any thread count and any batching of the replicas, and the scalar
+for any worker count and any batching of the replicas, and the scalar
 reference path in `simulate_replica` reproduces the vectorized engine
-replica for replica.
+replica for replica.  Blocks of replicas run on forked worker
+processes: each step is many short numpy and `Generator.random` calls,
+which threads would run one at a time under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -307,9 +309,11 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
 def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSamples:
     """Visit counts at the target states for every replica.
 
-    Replicas run in fixed blocks of 4096 on a pool of `threads` workers;
-    blocks write disjoint slices of the result, so the output is
-    bit-identical for any `threads`.
+    Replicas run in fixed blocks of 4096 on min(`threads`, blocks)
+    forked worker processes, or in this process when that is one.  Each
+    block's counts come back to be copied into disjoint rows of the
+    result, so the output is bit-identical for any `threads`.  Every
+    worker has exited when this returns or raises.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -317,18 +321,28 @@ def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSampl
     K = len(config.target_states)
     counts = np.empty((R, K), dtype=np.int64)
     terminal = np.empty(R, dtype=np.int64)
-    blocks = [(r0, min(r0 + _BLOCK, R)) for r0 in range(0, R, _BLOCK)]
+    starts = range(0, R, _BLOCK)
+    ends = [min(r0 + _BLOCK, R) for r0 in starts]
+    workers = min(threads, len(starts))
 
-    def run(span: tuple[int, int]) -> None:
-        r0, r1 = span
-        c, term = _run_block(config, r0, r1)
-        counts[r0:r1] = c
-        terminal[r0:r1] = term
+    def collect(results) -> None:
+        for r0, r1, (c, term) in zip(starts, ends, results):
+            counts[r0:r1] = c
+            terminal[r0:r1] = term
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, blocks))
+    if workers == 1:
+        collect(map(_run_block, repeat(config), starts, ends))
+    else:
+        # Imported here: they cost about 17 ms, which a one-worker run
+        # need not pay.  With "fork" the pool starts every worker on the
+        # first submit, before its own manager thread.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            collect(pool.map(_run_block, repeat(config), starts, ends))
 
     return LocalTimeSamples(
         config.target_states, counts, terminal, config.horizon, config.seed
     )
-

@@ -221,6 +221,15 @@ class TestStateCap:
         assert rc == 2 and out == ""
         assert err.startswith("gegwalk: ") and "state cap" in err
 
+    def test_state_cap_in_a_worker_is_exit_2(self, capsys):
+        # 8193 replicas are three blocks, so two forked workers raise it
+        rc, out, err = run(capsys, "localtime", "--alpha", "-0.5", "--mu", "1:1",
+                           "--x", "999990", "--y", "0", "--n", "10",
+                           "--replicas", "8193", "--seed", "1", "--threads", "2")
+        assert rc == 2 and out == ""
+        assert err == ("gegwalk: sampling-row table exceeds the state cap 1000000 "
+                       "(would need 1000055 states)\n")
+
 
 class TestConsistencyError:
     def test_consistency_error_is_exit_2(self, capsys, monkeypatch):

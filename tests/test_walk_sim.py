@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from gegwalk import walk_sim
+from gegwalk.errors import StateCapError
 from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, kernel_row, n_step
 from gegwalk.walk_sim import (
@@ -254,6 +257,31 @@ class TestLocalTimeCounts:
         second = local_time_counts(c)
         assert np.array_equal(first.counts, second.counts)
         assert np.array_equal(first.terminal, second.terminal)
+
+
+class TestWorkerProcesses:
+    # blocks run on forked workers when there are several of each
+
+    def test_no_worker_outlives_the_call(self):
+        c = cfg(idx=QUARTER, mu=MIX, horizon=40, replicas=9000, seed=606)
+        local_time_counts(c, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_state_cap_error_pickles(self):
+        err = pickle.loads(pickle.dumps(StateCapError("table too large", required=12)))
+        assert type(err) is StateCapError and err.required == 12
+        assert str(err) == "table too large (would need 12 states)"
+
+    def test_state_cap_in_a_worker_arrives_as_itself(self):
+        # three blocks on two workers: each worker's table refuses the start
+        c = cfg(start=999_990, horizon=10, replicas=8193, seed=1)
+        with pytest.raises(StateCapError) as exc:
+            local_time_counts(c, threads=2)
+        assert exc.value.required == 1_000_055
+        assert str(exc.value) == (
+            "sampling-row table exceeds the state cap 1000000 (would need 1000055 states)"
+        )
+        assert multiprocessing.active_children() == []
 
 
 class TestLocalTimeSamples:
