@@ -38,7 +38,7 @@ from .specfun import (
     ml_sample,
 )
 from .verify import check_llt, check_local_time_limit, local_time_scale
-from .walk_sim import WalkConfig, _check_seed, _replica_rng, local_time_counts
+from .walk_sim import WalkConfig, _check_seed, _join_lines, _replica_rng, local_time_counts
 
 import numpy as np
 
@@ -91,9 +91,8 @@ def cmd_kernel(args) -> int:
     if args.format == "json":
         _emit(law.to_json(alpha=args.alpha) + "\n", args.output)
     else:
-        lines = ["state,mass"]
-        lines += [f"{s},{_fmt(m, args.full_precision)}" for s, m in law.items()]
-        _emit("\n".join(lines) + "\n", args.output)
+        lines = (f"{s},{_fmt(m, args.full_precision)}" for s, m in law.items())
+        _emit(_join_lines("state,mass", lines), args.output)
     return 0
 
 
@@ -112,9 +111,8 @@ def cmd_simulate(args) -> int:
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        lines = ["replica,terminal"]
-        lines += [f"{r},{t}" for r, t in enumerate(lt.terminal)]
-        _emit("\n".join(lines) + "\n", args.output)
+        lines = (f"{r},{t}" for r, t in enumerate(lt.terminal.tolist()))
+        _emit(_join_lines("replica,terminal", lines), args.output)
     return 0
 
 

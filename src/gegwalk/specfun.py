@@ -14,6 +14,10 @@ The Mittag-Leffler density series caches its x-free factors per (order,
 term, binary precision); a density value is the same float with the
 cache cold or warm.
 
+mpmath is imported on first use, inside the functions that sum in it
+(the Bessel functions and the Mittag-Leffler series), so importing this
+module, or a command that never calls them, does not pay for it.
+
 All functions are pure; samplers take a caller-owned ``numpy.random.Generator``.
 """
 
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from mpmath import mp, mpf
 
 __all__ = [
     "gamma_fn",
@@ -76,6 +79,8 @@ def bessel_j(order: float, x: float) -> float:
         raise ValueError("bessel_j: order must be > -1")
     if not 0.0 <= x < math.inf:
         raise ValueError(f"bessel_j: x must be finite and >= 0, got {x!r}")
+    from mpmath import mp
+
     return float(mp.besselj(order, x))
 
 
@@ -88,6 +93,8 @@ def bessel_i(order: float, x: float) -> float:
         raise ValueError("bessel_i: order must be > -1")
     if not 0.0 <= x < math.inf:
         raise ValueError(f"bessel_i: x must be finite and >= 0, got {x!r}")
+    from mpmath import mp
+
     return float(mp.besseli(order, x))
 
 
@@ -104,6 +111,8 @@ def _certified_sum(
     cancellation are estimated from the largest term against the divided
     sum; unless 14 digits remain, the sum is redone at dps + lost + 10.
     """
+    from mpmath import mp, mpf
+
     dps = 20
     while True:
         with mp.workdps(dps):
@@ -149,6 +158,7 @@ def ml_function(order: float, x: float) -> float:
         raise ValueError(f"ml_function: x must be finite, got {x!r}")
     if x < 0.0:
         raise ValueError("ml_function: x must be >= 0")
+    from mpmath import mp, mpf
 
     def terms(xm):
         xpow = mpf(1)
@@ -160,14 +170,16 @@ def ml_function(order: float, x: float) -> float:
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _density_factor(order: float, k: int, prec: int) -> tuple[mpf, mpf] | None:
+def _density_factor(order: float, k: int, prec: int) -> tuple | None:
     """x-free factors of term k of the ml_density series at ``prec`` bits.
 
-    Returns ``((-1)^(k-1) sin(pi k order) Gamma(k order), (k-1)!)``, each
-    rounded as ml_density's term expression rounds it, or None where the
-    sine is exactly 0.  The key holds the binary precision because every
-    escalation re-runs the series at a higher one.
+    Returns the mpf pair ``((-1)^(k-1) sin(pi k order) Gamma(k order),
+    (k-1)!)``, each rounded as ml_density's term expression rounds it, or
+    None where the sine is exactly 0.  The key holds the binary precision
+    because every escalation re-runs the series at a higher one.
     """
+    from mpmath import mp, mpf
+
     with mp.workprec(prec):
         sp = mp.sinpi(mpf(k) * mpf(order))
         if sp == 0:
@@ -209,6 +221,7 @@ def ml_density(order: float, x: float) -> float:
         raise ValueError("ml_density: x must be >= 0")
     if x == 0.0:
         return math.sin(math.pi * order) * math.gamma(order) / math.pi
+    from mpmath import mp
 
     def terms(xm):
         for k in itertools.count(1):
@@ -320,7 +333,9 @@ class MittagLefflerDist:
         converge, get 1.  The density is evaluated only up to the first
         node at or past max(xs): the cumulative at a node depends only on
         the nodes before it, so the values read are those of the full
-        grid.  Suited to goodness-of-fit statistics over large samples.
+        grid.  `verify`'s CDF table relies on this prefix property to
+        evaluate the density only as far as its sample reaches.  Suited
+        to goodness-of-fit statistics over large samples.
         """
         xs = np.asarray(xs, dtype=float)
         grid = np.linspace(0.0, _density_cutoff(self.order), npoints)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,19 +35,39 @@ from .walk_sim import WalkConfig, local_time_counts
 # the default ks_threshold of 0.02.
 _ML_CDF_CLIP = 12.0
 _ML_CDF_NODES = 1025
+_ML_CDF_GRID = np.linspace(0.0, _ML_CDF_CLIP, _ML_CDF_NODES)
+_ML_CDF_GRID.flags.writeable = False
+# order -> read-only CDF at the longest prefix of _ML_CDF_GRID computed
+# so far; at most _ML_CDF_ORDERS orders are kept, the least recently used
+# dropped first.
+_ML_CDF_TABLES: dict[float, np.ndarray] = {}
+_ML_CDF_ORDERS = 8
 
 
-@lru_cache(maxsize=8)
-def _ml_cdf_table(order: float) -> tuple[tuple, tuple]:
-    """Cached CDF nodes for the Mittag-Leffler law of a given order.
+def _ml_cdf_table(
+    order: float, nodes: int = _ML_CDF_NODES
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first `nodes` CDF nodes of the Mittag-Leffler law of an order.
 
-    One density pass per order; every later goodness-of-fit check
-    interpolates.  1025 trapezoid nodes keep the CDF error ~1e-4,
-    orders of magnitude below the KS tolerances in use.
+    Returns read-only (grid, cdf) over the first `nodes` of 1025
+    trapezoid nodes on [0, 12], which keep the CDF error ~1e-4, orders
+    of magnitude below the KS tolerances in use.  The density is
+    evaluated only to the sample's reach: the table is computed as far
+    as `nodes` and kept per order, so a later call at that order that
+    reaches no further evaluates no density.  Each value is the one the
+    full table holds at that node, because `cdf_grid` evaluates the
+    density only up to the largest point it is given and its cumulative
+    at a node depends only on the nodes before it.
     """
-    grid = np.linspace(0.0, _ML_CDF_CLIP, _ML_CDF_NODES)
-    vals = MittagLefflerDist(order).cdf_grid(grid, npoints=_ML_CDF_NODES)
-    return tuple(grid), tuple(vals)
+    vals = _ML_CDF_TABLES.pop(order, None)
+    if vals is None or len(vals) < nodes:
+        dist = MittagLefflerDist(order)
+        vals = dist.cdf_grid(_ML_CDF_GRID[:nodes], npoints=_ML_CDF_NODES)
+        vals.flags.writeable = False
+    if len(_ML_CDF_TABLES) >= _ML_CDF_ORDERS:
+        del _ML_CDF_TABLES[next(iter(_ML_CDF_TABLES))]
+    _ML_CDF_TABLES[order] = vals
+    return _ML_CDF_GRID[:nodes], vals[:nodes]
 
 
 @dataclass(frozen=True)
@@ -313,11 +332,12 @@ def check_local_time_limit(
     if a < 0.0:
         K = local_time_scale_constant(idx, mu, y)
         moment_pred = [K**p * ml_moment(-a, p) for p in range(1, n_moments + 1)]
-        grid, cdf_vals = (np.array(t) for t in _ml_cdf_table(-a))
 
         def limit_cdf(t):
             u = np.minimum(np.asarray(t, dtype=float) / K, _ML_CDF_CLIP)
-            return np.interp(u, grid, cdf_vals)
+            # the table up to the first node at or past the largest u
+            nodes = int(np.searchsorted(_ML_CDF_GRID, u.max())) + 1
+            return np.interp(u, *_ml_cdf_table(-a, nodes))
 
         law_desc = {"limit": "mittag-leffler", "order": -a, "K": K}
     else:

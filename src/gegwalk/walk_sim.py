@@ -21,7 +21,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +41,8 @@ _SLICE = 64
 # Replica rows per tile of the chunk transpose.
 _TILE = 128
 _ROW_CACHE = 4096
+# CSV lines formatted and joined at a time by `_join_lines`.
+_CSV_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,21 @@ class LocalTimeSamples:
         return self.counts.shape[0]
 
     def to_csv(self) -> str:
-        """Rows ``replica,y,count``, replica-major, targets in given order."""
+        """Rows ``replica,y,count``, replica-major, targets in given order.
+
+        The counts are read max(1, 4096 // K) replicas at a time and
+        joined by `_join_lines`, so the text is built without a string
+        per row, or a Python int per count, for the whole run at once.
+        """
         cells = [f",{y}," for y in self.targets]
-        lines = ["replica,y,count"]
-        for r, row in enumerate(self.counts.tolist()):
-            lines.extend(f"{r}{cell}{c}" for cell, c in zip(cells, row))
-        return "\n".join(lines) + "\n"
+        step = max(1, _CSV_LINES // len(cells))
+        lines = (
+            f"{r}{cell}{c}"
+            for r0 in range(0, self.replicas, step)
+            for r, row in enumerate(self.counts[r0 : r0 + step].tolist(), r0)
+            for cell, c in zip(cells, row)
+        )
+        return _join_lines("replica,y,count", lines)
 
     def summary(self, scale: float = 1.0) -> dict:
         """Moments and a unit-width histogram of count/scale per target."""
@@ -125,6 +137,21 @@ class LocalTimeSamples:
 
     def summary_json(self, scale: float = 1.0) -> str:
         return json.dumps(self.summary(scale), indent=2, sort_keys=True)
+
+
+def _join_lines(header: str, lines: Iterable[str]) -> str:
+    """``header`` and each of ``lines``, every one ended by a newline.
+
+    The lines are joined `_CSV_LINES` at a time and the chunks once at
+    the end, so beside the text only one chunk's strings are held: a
+    list of every line's string would take several times the text.
+    """
+    lines = iter(lines)
+    parts = [header]
+    while chunk := list(islice(lines, _CSV_LINES)):
+        parts.append("\n".join(chunk))
+    parts.append("")  # the last newline, without copying the text again
+    return "\n".join(parts)
 
 
 def _check_seed(seed: int) -> None:

@@ -5,6 +5,7 @@ library, and an import that nothing reads is noise; both are checked
 from the sources by ast, without importing the package.  Importing the
 package and its CLI must not pull in scipy, which only the tests and
 scripts/ need: it would add about 0.3 s to every command's start-up.
+Nor may it pull in mpmath, which only the special-function series need.
 """
 
 import ast
@@ -95,10 +96,22 @@ def test_no_unused_module_imports(module):
     assert not unused, f"gegwalk.{module.stem} imports names it never reads: {unused}"
 
 
-def test_import_pulls_in_no_scipy():
+def _loaded_by_import(module: str) -> bool:
+    """Whether importing gegwalk and its CLI, in a fresh interpreter,
+    puts `module` into sys.modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code = "import sys, gegwalk, gegwalk.cli; print('scipy' in sys.modules)"
+    code = f"import sys, gegwalk, gegwalk.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False", "importing gegwalk imports scipy"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_pulls_in_no_scipy():
+    assert not _loaded_by_import("scipy"), "importing gegwalk imports scipy"
+
+
+def test_import_defers_mpmath():
+    # the special functions that sum in mpmath import it on first use, so
+    # localtime and the exact kernels never load it
+    assert not _loaded_by_import("mpmath"), "importing gegwalk imports mpmath"

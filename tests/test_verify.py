@@ -1,5 +1,6 @@
 """Tests for the limit-theorem checkers and their report plumbing."""
 
+import functools
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gegwalk import verify
+from gegwalk import specfun, verify
 from gegwalk.gegenbauer import HypergroupIndex, weight
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step
 from gegwalk.specfun import (
@@ -18,6 +19,7 @@ from gegwalk.specfun import (
     ml_moment,
     ml_sample,
 )
+from gegwalk.walk_sim import LocalTimeSamples
 from gegwalk.verify import (
     ReportRow,
     VerifyReport,
@@ -327,6 +329,89 @@ class TestLocalTimeLimit:
         assert rep.params["order"] == 0.25
         by_label = {r.label: r for r in rep.rows}
         assert by_label["m1"].passed
+
+
+@functools.lru_cache(maxsize=None)
+def _full_ml_table(order):
+    """The order's CDF at every node of verify's grid, as bytes."""
+    vals = MittagLefflerDist(order).cdf_grid(
+        verify._ML_CDF_GRID, npoints=verify._ML_CDF_NODES
+    )
+    return vals.tobytes()
+
+
+def _fake_counts(monkeypatch, counts):
+    """Make check_local_time_limit read `counts` as its Monte Carlo sample."""
+    def engine(config, *, threads=1):
+        c = np.asarray(counts, dtype=np.int64)[:, None]
+        return LocalTimeSamples(
+            config.target_states, c, np.zeros(len(c), np.int64), config.horizon, config.seed
+        )
+
+    monkeypatch.setattr(verify, "local_time_counts", engine)
+
+
+def _lt_sample(idx, mu, horizon, reach, seed):
+    """Integer counts whose scaled values N/(n^|a| K) are ML draws below
+    `reach`, plus one count whose scaled value is exactly past it."""
+    a = idx.alpha
+    unit = local_time_scale(a, horizon) * local_time_scale_constant(idx, mu, 0)
+    m = ml_sample(-a, np.random.default_rng(seed), 400)
+    counts = np.floor(np.minimum(m, reach - 0.5) * unit)
+    return np.append(counts, math.ceil(reach * unit))
+
+
+class TestMLCdfTableReach:
+    """The table is evaluated only as far as the sample reaches, and every
+    value read is the one the full 1025-node table holds."""
+
+    @pytest.mark.parametrize("order", [0.25, 0.5])
+    @pytest.mark.parametrize("reach", [0.0, 1e-3, 3.0, 8.4763, 12.0])
+    def test_prefix_equals_full_table(self, monkeypatch, order, reach):
+        nodes = int(np.searchsorted(verify._ML_CDF_GRID, reach)) + 1
+        monkeypatch.setattr(verify, "_ML_CDF_TABLES", {})
+        grid, vals = verify._ml_cdf_table(order, nodes)
+        assert len(vals) == nodes and grid[-1] >= reach
+        assert grid.tobytes() == verify._ML_CDF_GRID[:nodes].tobytes()
+        assert vals.tobytes() == _full_ml_table(order)[: 8 * nodes]
+
+    @pytest.mark.parametrize(
+        "idx,mu", [(QUARTER, MIX), (CHEB, D1)], ids=["alpha=-1/4", "alpha=-1/2"]
+    )
+    @pytest.mark.parametrize("reach", [8.4763, 13.0])
+    def test_report_equals_full_table_report(self, monkeypatch, idx, mu, reach):
+        _fake_counts(monkeypatch, _lt_sample(idx, mu, 10_000, reach, 3))
+        reads = []  # the limit CDF at the sorted sample, as the KS row reads it
+        ks = verify.ks_statistic
+
+        def spy(samples, cdf):
+            reads.append(np.asarray(cdf(np.sort(samples))).tobytes())
+            return ks(samples, cdf)
+
+        monkeypatch.setattr(verify, "ks_statistic", spy)
+        monkeypatch.setattr(verify, "_ML_CDF_TABLES", {})
+        cut = check_local_time_limit(idx, mu, 0, 0, 10_000, 401, 1).to_json()
+        monkeypatch.setattr(
+            verify,
+            "_ml_cdf_table",
+            lambda order, nodes: (verify._ML_CDF_GRID, np.frombuffer(_full_ml_table(order))),
+        )
+        full = check_local_time_limit(idx, mu, 0, 0, 10_000, 401, 1).to_json()
+        assert cut == full
+        assert reads[0] == reads[1]
+
+    def test_smaller_reach_evaluates_no_density(self, monkeypatch):
+        calls = []
+        density = specfun.ml_density
+        monkeypatch.setattr(specfun, "ml_density", lambda o, x: calls.append(x) or density(o, x))
+        monkeypatch.setattr(verify, "_ML_CDF_TABLES", {})
+        _fake_counts(monkeypatch, _lt_sample(QUARTER, MIX, 10_000, 5.0, 4))
+        check_local_time_limit(QUARTER, MIX, 0, 0, 10_000, 401, 1)
+        assert calls
+        calls.clear()
+        _fake_counts(monkeypatch, _lt_sample(QUARTER, MIX, 10_000, 3.0, 5))
+        check_local_time_limit(QUARTER, MIX, 0, 0, 10_000, 401, 1)
+        assert calls == []
 
 
 class TestKSStatistic:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,48 @@ class TestLocalTimeSamples:
     def test_summary_json_deterministic(self):
         lt = self._samples()
         assert lt.summary_json() == lt.summary_json()
+
+
+def _row_by_row_csv(lt):
+    """to_csv's text, one string per row (the format's reference)."""
+    lines = ["replica,y,count"]
+    for r, row in enumerate(lt.counts.tolist()):
+        lines.extend(f"{r},{y},{c}" for y, c in zip(lt.targets, row))
+    return "\n".join(lines) + "\n"
+
+
+def _synthetic_samples(replicas, targets, seed=0):
+    counts = np.random.default_rng(seed).integers(0, 10**6, (replicas, len(targets)))
+    return LocalTimeSamples(tuple(targets), counts, np.zeros(replicas, np.int64), 10, seed)
+
+
+class TestChunkedCsv:
+    """to_csv formats max(1, 4096 // K) replicas at a time; the text is
+    the row-by-row one at every cut."""
+
+    @pytest.mark.parametrize("K", [3, 20])
+    def test_equals_row_by_row_at_chunk_edges(self, K):
+        chunk = max(1, walk_sim._CSV_LINES // K)
+        for R in (1, chunk - 1, chunk, chunk + 1):
+            lt = _synthetic_samples(R, range(0, 2 * K, 2), seed=R)
+            assert lt.to_csv() == _row_by_row_csv(lt)
+
+    def test_more_targets_than_the_line_budget(self):
+        K = walk_sim._CSV_LINES + 5
+        for R in (1, 2, 3):
+            lt = _synthetic_samples(R, range(K), seed=R)
+            assert lt.to_csv() == _row_by_row_csv(lt)
+
+    def test_peak_memory_is_a_small_multiple_of_the_text(self):
+        # a string per row would take about 8x the text at this size
+        lt = _synthetic_samples(8192, range(0, 40, 2))
+        tracemalloc.start()
+        try:
+            text = lt.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
 
 class TestMeanVisitsCurve:
