@@ -19,7 +19,6 @@ from gegwalk.specfun import (
     ml_moment,
     ml_sample,
 )
-from gegwalk.walk_sim import LocalTimeSamples
 from gegwalk.verify import (
     ReportRow,
     VerifyReport,
@@ -30,6 +29,7 @@ from gegwalk.verify import (
     local_time_scale,
     local_time_scale_constant,
 )
+from gegwalk.walk_sim import LocalTimeSamples
 
 from _oracles import space_scaled_from_origin, unit_step_lt_constant
 
@@ -353,7 +353,7 @@ def _fake_counts(monkeypatch, counts):
 
 def _lt_sample(idx, mu, horizon, reach, seed):
     """Integer counts whose scaled values N/(n^|a| K) are ML draws below
-    `reach`, plus one count whose scaled value is exactly past it."""
+    `reach`, plus one count whose scaled value lies just past it."""
     a = idx.alpha
     unit = local_time_scale(a, horizon) * local_time_scale_constant(idx, mu, 0)
     m = ml_sample(-a, np.random.default_rng(seed), 400)
