@@ -32,13 +32,16 @@ from .hypergroup import DEFAULT_STATE_CAP, GegenbauerKernel, SparseMeasure, kern
 
 _BLOCK = 4096   # replicas advanced together by the vectorized engine
 # Uniforms buffered per replica between refills.  A full block holds
-# B x _CHUNK of them in U and once more in the step-major copy Ut, which
-# is reused for every chunk: 32 MiB per block.
+# B x _CHUNK of them once, in the step-major chunk Ut that is reused for
+# every chunk: 16 MiB per block.
 _CHUNK = 512
-# Steps recorded between visit tallies.  The int32 slice buffer takes
-# 1 MiB per block, and the tally's temporaries are of the same order.
+# Steps recorded between visit tallies.  The int32 slice buffer and the
+# replica of each of its positions take 1 MiB each per block, and the
+# tally's temporaries are a few times that.
 _SLICE = 64
-# Replica rows per tile of the chunk transpose.
+# Replicas per tile: each tile fills a _TILE x _CHUNK buffer (512 KiB)
+# from its own streams and copies it, transposed, into Ut while it is
+# still in cache.
 _TILE = 128
 _ROW_CACHE = 4096
 # CSV lines formatted and joined at a time by `_join_lines`.
@@ -234,8 +237,9 @@ class _RowTable:
     parity) are merged: `cols` holds each distinct column once and
     `mult` how many entries it stands for, so a uniform u moves the
     walker by sum(k * (col[x - lo] <= u)) - smax.  A walk of `horizon`
-    steps from `start` never goes below lo = max(0, start - horizon * smax),
-    so no row under lo is built; the top grows on demand.
+    steps from `start` stays within lo = max(0, start - horizon * smax)
+    and start + horizon * smax, so no row under lo is built, and the top
+    grows on demand, 64 steps ahead, but never past `reach` + smax.
     """
 
     def __init__(self, config: WalkConfig):
@@ -243,10 +247,12 @@ class _RowTable:
         self.mu_items = tuple(config.mu.items())
         self.smax = config.mu.max_state
         self.lo = max(0, config.start - config.horizon * self.smax)
+        self.reach = config.start + config.horizon * self.smax
         self.full = np.empty((2 * self.smax, 0))
         self.grow(config.start + 64 * self.smax)
 
     def grow(self, needed: int) -> None:
+        needed = min(needed, self.reach + self.smax)
         if needed + 1 > DEFAULT_STATE_CAP:
             raise StateCapError(
                 f"sampling-row table exceeds the state cap {DEFAULT_STATE_CAP}",
@@ -270,14 +276,20 @@ class _RowTable:
 def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance replicas r0..r1-1 in lockstep to the configured horizon.
 
-    The step loop only steps: it records each step's states in a slice
-    buffer of at most `_SLICE` steps.  After each slice one tally maps
-    the recorded states that are targets to their target index (through
-    a lookup array over states 0..largest target, -1 off the targets)
-    and adds the visits with one bincount; the k = 0 visit goes through
-    the same tally.  The row table grows once per slice, to the highest
-    state the slice can reach.  Returns per-replica counts (B x K int64)
-    and terminal states.
+    Uniforms are drawn a chunk at a time: each tile of `_TILE` replicas
+    fills a small buffer from its own streams, which is copied,
+    transposed, into the step-major chunk `Ut` while it is still in
+    cache.  The step loop only steps: a step gathers and compares each
+    distinct cut-point column, adds the compares, as small ints, into
+    one move that starts at -smax, and moves S once.  It records each
+    step's states in a slice buffer of at most `_SLICE` steps.  After
+    each slice one tally adds the visits of the recorded states up to
+    the largest target with one bincount, keyed by a lookup array over
+    states 0..largest target (row offset j * B of target j, a spare row
+    elsewhere) plus the replica of each slice position; the k = 0 visit
+    goes through the same tally.  The row table grows once per slice,
+    to the highest state the slice can reach.  Returns per-replica
+    counts (B x K int64) and terminal states.
     """
     B = r1 - r0
     horizon = config.horizon
@@ -291,31 +303,36 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
     unreached = min(config.start + horizon * smax, DEFAULT_STATE_CAP) + 1
     ys = [min(y, unreached) for y in config.target_states]
     uniq, column = np.unique(np.array(ys, dtype=np.int32), return_inverse=True)
-    Ku = len(uniq)
-    lut = np.full(uniq[-1] + 1, -1, dtype=np.int32)
-    lut[uniq] = np.arange(Ku, dtype=np.int32)
-    hits = np.zeros(B * Ku, dtype=np.int64)
+    Ku, top = len(uniq), int(uniq[-1])
+    key = np.full(top + 1, Ku * B)  # row Ku is the spare: visits off the targets
+    key[uniq] = np.arange(Ku) * B
+    owner = np.tile(np.arange(B, dtype=np.int32), _SLICE)  # replica of each slice position
+    hits = np.zeros((Ku + 1) * B, dtype=np.int64)
 
     def tally(states: np.ndarray) -> None:
-        p = np.flatnonzero(states <= uniq[-1])
-        j = lut[states.ravel()[p]]
-        keep = np.flatnonzero(j >= 0)
-        hits[:] += np.bincount(p[keep] % B * Ku + j[keep], minlength=B * Ku)
+        flat = states.ravel()
+        p = np.flatnonzero(flat <= top)
+        hits[:] += np.bincount(key.take(flat.take(p)) + owner.take(p), minlength=len(hits))
 
     S = np.full(B, config.start, dtype=np.int64)
     tally(S[None, :])  # the k = 0 visit
 
     chunk = min(_CHUNK, horizon)
-    U = np.empty((B, chunk))
+    tile = np.empty((_TILE, chunk))
     Ut = np.empty((chunk, B))
     buf = np.empty((_SLICE, B), dtype=np.int32)
+    g = np.empty(B)
+    m = np.empty(B, dtype=bool)
+    m8 = m.view(np.int8)
+    move = np.empty(B, dtype=np.min_scalar_type(-smax - 1))  # holds -smax..smax
     done = 0
     while done < horizon:
         T = min(chunk, horizon - done)
-        for i, g in enumerate(gens):
-            g.random(out=U[i, :T])
-        for i in range(0, B, _TILE):  # a transpose in tiles stays in cache
-            np.copyto(Ut[:T, i : i + _TILE], U[i : i + _TILE, :T].T)
+        for i in range(0, B, _TILE):
+            rows = tile[: min(_TILE, B - i), :T]
+            for row, gen in zip(rows, gens[i : i + _TILE]):
+                gen.random(out=row)
+            np.copyto(Ut[:T, i : i + len(rows)], rows.T)
         for s0 in range(0, T, _SLICE):
             L = min(_SLICE, T - s0)
             table.ensure(int(S.max()) + L * smax)
@@ -323,14 +340,19 @@ def _run_block(config: WalkConfig, r0: int, r1: int) -> tuple[np.ndarray, np.nda
             for t in range(L):
                 u = Ut[s0 + t]
                 here = S - lo if lo else S
-                moves = [col[here] <= u for col in cols]  # gathered before S moves
-                S -= smax
-                for k, m in zip(mult, moves):
-                    S += m if k == 1 else k * m
+                move.fill(-smax)
+                for col, k in zip(cols, mult):
+                    # every index is inside the table; "clip" fills g
+                    # without the buffered copy that "raise" makes
+                    col.take(here, out=g, mode="clip")
+                    np.less_equal(g, u, out=m)
+                    for _ in range(k):
+                        move += m8
+                S += move
                 buf[t] = S
             tally(buf[:L])
         done += T
-    return hits.reshape(B, Ku)[:, column], S.copy()
+    return hits.reshape(Ku + 1, B)[column].T, S.copy()
 
 
 def local_time_counts(config: WalkConfig, *, threads: int = 1) -> LocalTimeSamples:

@@ -228,7 +228,7 @@ class TestStateCap:
                            "--replicas", "8193", "--seed", "1", "--threads", "2")
         assert rc == 2 and out == ""
         assert err == ("gegwalk: sampling-row table exceeds the state cap 1000000 "
-                       "(would need 1000055 states)\n")
+                       "(would need 1000002 states)\n")
 
 
 class TestConsistencyError:

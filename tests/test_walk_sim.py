@@ -75,6 +75,18 @@ class TestSimulateReplica:
             for j, y in enumerate(c.target_states):
                 assert counts[y] == lt.counts[r, j]
 
+    def test_matches_vectorized_engine_wide_step(self):
+        # smax = 128: the first step moves half the replicas by +128, one
+        # past what an int8 move holds
+        c = cfg(mu=SparseMeasure({1: 0.5, 128: 0.5}), horizon=5, replicas=300,
+                targets=(0, 1, 128, 129, 255, 256, 383), seed=13)
+        lt = local_time_counts(c)
+        assert lt.terminal.max() > 256
+        for r in range(c.replicas):
+            terminal, counts = simulate_replica(c, r)
+            assert terminal == lt.terminal[r]
+            assert [counts[y] for y in c.target_states] == lt.counts[r].tolist()
+
     def test_replica_index_range(self):
         with pytest.raises(ValueError):
             simulate_replica(cfg(replicas=10), 10)
@@ -143,6 +155,15 @@ class TestRowTable:
                               replicas=100, targets=(8000,)))
         assert _row_cdf.cache_info().misses <= 2 * n * smax + 64 * smax + 1
 
+    def test_wide_step_table_stops_at_the_reach(self):
+        # 3 steps of at most 128 from 0 reach 384; the table builds rows
+        # 0..384 + 128, not 64 steps' worth (8192 rows)
+        n, smax = 3, 128
+        _row_cdf.cache_clear()
+        local_time_counts(cfg(mu=SparseMeasure({1: 0.5, smax: 0.5}), horizon=n,
+                              replicas=50, targets=(0,)))
+        assert _row_cdf.cache_info().misses == n * smax + smax + 1
+
     @pytest.mark.parametrize("mu, mult", [
         (D1, [2]),  # the row is (p, p)
         (MIX, [1, 1, 1, 1]),
@@ -156,7 +177,7 @@ class TestRowTable:
     @pytest.mark.parametrize("mu", [D1, MIX])
     def test_table_never_outgrows_the_walk(self, mu, monkeypatch):
         # at alpha = 1000 the walk climbs at almost every step, so the
-        # table grows several times; its top row stays within 64 steps of
+        # table grows several times; its top row stays within one step of
         # the highest state the walk can reach
         tables = []
 
@@ -172,7 +193,7 @@ class TestRowTable:
         (table,) = tables
         top = table.lo + table.cols.shape[1] - 1
         assert top > c.start + 64 * table.smax
-        assert top <= c.start + c.horizon * table.smax + 64 * table.smax
+        assert top <= c.start + c.horizon * table.smax + table.smax
 
 
 class TestLocalTimeCounts:
@@ -278,9 +299,9 @@ class TestWorkerProcesses:
         c = cfg(start=999_990, horizon=10, replicas=8193, seed=1)
         with pytest.raises(StateCapError) as exc:
             local_time_counts(c, threads=2)
-        assert exc.value.required == 1_000_055
+        assert exc.value.required == 1_000_002
         assert str(exc.value) == (
-            "sampling-row table exceeds the state cap 1000000 (would need 1000055 states)"
+            "sampling-row table exceeds the state cap 1000000 (would need 1000002 states)"
         )
         assert multiprocessing.active_children() == []
 
@@ -360,6 +381,21 @@ class TestChunkedCsv:
         assert peak <= 3 * len(text)
 
 
+class TestBlockMemory:
+    def test_block_peak(self):
+        # one full block of 20 targets: the step-major chunk of uniforms
+        # (16 MiB) is the one buffer of its size; a second B x chunk copy
+        # of the uniforms would take the peak to about 42 MiB
+        c = cfg(horizon=1024, replicas=walk_sim._BLOCK, targets=tuple(range(0, 40, 2)))
+        tracemalloc.start()
+        try:
+            _run_block(c, 0, c.replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+
 class TestMeanVisitsCurve:
     def test_reflected_mean_visits_scale(self):
         # mean visits to 0 grow like sqrt(2 n / pi) for the reflected walk
@@ -374,7 +410,8 @@ class TestMeanVisitsCurve:
 # of its step loop (odd_steps: from the binary-search tally, before the
 # lookup-array tally and the merged CDF columns).  Horizons avoid multiples
 # of 64 and 512; the mixed case spans two full 4096-replica blocks and a
-# one-replica block.
+# one-replica block.  The last three were recorded before the uniforms
+# were filled one tile at a time and the tally keyed by one lookup.
 ENGINE_CASES = {
     "unit": cfg(targets=tuple(range(0, 40, 2)) + (0, 10**12), horizon=1100,
                 replicas=600, seed=3),
@@ -390,6 +427,17 @@ ENGINE_CASES = {
     # adjacent pairs at every state, with the table starting at lo = 0
     "odd_steps": cfg(idx=QUARTER, mu=SparseMeasure({1: 0.5, 3: 0.5}), horizon=613,
                      replicas=4500, targets=(0, 1, 4, 3, 12, 0, 2000), seed=8),
+    # the last block has 130 replicas, so its last tile has 2
+    "tile_tail": cfg(idx=QUARTER, mu=MIX, horizon=203, replicas=4096 + 130,
+                     targets=(0, 3, 8), seed=9),
+    # a last chunk of 488 steps, whose last slice has 40
+    "chunk_tail": cfg(start=1, horizon=1000, replicas=300, targets=(1, 0, 4, 30),
+                      seed=10),
+    # repeated targets, and two past the reach 3 + 150 * 3 = 453
+    "dup_targets": cfg(idx=HypergroupIndex(0.0),
+                       mu=SparseMeasure({1: 0.5, 2: 0.25, 3: 0.25}), start=3,
+                       horizon=150, replicas=1000,
+                       targets=(7, 3, 7, 0, 3, 5000, 5000, 454), seed=12),
 }
 ENGINE_SHA256 = {
     "unit": (
@@ -415,6 +463,18 @@ ENGINE_SHA256 = {
     "odd_steps": (
         "8b95edad9a9e759911a285d66bb8ab5f7755b7688134a13bf314b285ebd0292e",
         "015e4c1651cbab8dcb08e27bea103d5c1578dc254783d4f663eeee579c6cbfc8",
+    ),
+    "tile_tail": (
+        "29c8b880caa1839b39aeb6d06da871deacd51bddd399d3a49ea7b349adf96370",
+        "f45de4481d73997697121958c60c0f9fd54779c92f6fd03de01c2a8f771b9bf8",
+    ),
+    "chunk_tail": (
+        "710fae8fd0092035d74354f181dc8ab5150e1450e5339ad1bf887748dd760263",
+        "b428c48e8ebf5487a141664bd670ed2576bba867b2af4782ab2a4ff6beb960c5",
+    ),
+    "dup_targets": (
+        "009038a77f38b0cc99aec9e55e023080ab8e93b4039acff3553159c31427faf8",
+        "65121ddade7df2dfb351adcabf2561bd06a690ab8001fd963ac807f00711fc36",
     ),
 }
 
