@@ -18,7 +18,7 @@ from gegwalk.hypergroup import (
     drift_constant,
     kernel_row,
     n_step,
-    n_step_sequence,
+    transition_probabilities,
 )
 from gegwalk.specfun import (
     MittagLefflerDist,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gegenbauer import HypergroupIndex, weight
-from .hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step_sequence
+from .hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, transition_probabilities
 from .specfun import MittagLefflerDist, gamma_fn, ml_moment
 from .walk_sim import WalkConfig, local_time_counts
 
@@ -193,19 +193,22 @@ def check_llt(
     parity-refined form w_y 2^(a+1) Gamma(a+1) n^-(a+1) when n + x + y
     is even, windowed at the largest such n, and an exact zero when it
     is odd.  Any other one-parity step raises ValueError.
+
+    The values come from `transition_probabilities`, half sweeps joined
+    by the walk's reversibility, and the notes carry its bound on their
+    error beyond round-off as ``value_error_bound``.
     """
     ns = _validate_horizons(n_list)
     kernel = GegenbauerKernel(idx, mu)
     if not kernel.is_unit_step:
         _require_aperiodic(kernel)
-    laws = n_step_sequence(kernel, x, ns)
+    values, bound = transition_probabilities(kernel, x, y, ns)
     a = idx.alpha
     if kernel.is_unit_step:
         even_ns = [n for n in ns if (n + x + y) % 2 == 0]
         last_even = even_ns[-1] if even_ns else None
         rows = []
-        for n in ns:
-            p = laws[n][y]
+        for n, p in zip(ns, values.tolist()):
             if (n + x + y) % 2 == 0:
                 pred = weight(idx, y) * 2.0 ** (a + 1.0) * gamma_fn(a + 1.0) * n ** (-(a + 1.0))
                 rows.append(_make_row(n, p, pred, ratio_window if n == last_even else None))
@@ -221,18 +224,22 @@ def check_llt(
                 "ratio_window": list(ratio_window),
             },
             rows=rows,
-            notes={"even_rows": len(even_ns), "odd_rows": len(ns) - len(even_ns)},
+            notes={
+                "even_rows": len(even_ns),
+                "odd_rows": len(ns) - len(even_ns),
+                "value_error_bound": bound,
+            },
         )
 
     C = drift_constant(idx, mu)
     rows = [
         _make_row(
             n,
-            laws[n][y],
+            p,
             llt_prediction(idx, C, y, n),
             ratio_window if n == ns[-1] else None,
         )
-        for n in ns
+        for n, p in zip(ns, values.tolist())
     ]
     return VerifyReport(
         theorem="aperiodic-llt",
@@ -246,7 +253,7 @@ def check_llt(
             "ratio_window": list(ratio_window),
         },
         rows=rows,
-        notes={"ratio_trend": _ratio_trend(rows)},
+        notes={"ratio_trend": _ratio_trend(rows), "value_error_bound": bound},
     )
 
 

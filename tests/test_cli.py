@@ -207,7 +207,7 @@ class TestStateCap:
             ["kernel", "--alpha", "-0.25", "--mu", "1:0.5,200:0.5", "--x", "0",
              "--n", "10"],
             ["verify-llt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
-             "--x", "0", "--y", "0", "--n", "64,600000"],
+             "--x", "0", "--y", "0", "--n", "64,2000000"],
             ["verify-lt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
              "--x", "999990", "--y", "0", "--n", "10", "--replicas", "100",
              "--seed", "1"],
@@ -289,16 +289,16 @@ class TestVerifyLltBytes:
 
     @pytest.mark.parametrize("argv,fmt,digest,stderr", [
         (MIXED, "csv",
-         "9540e63c338678eb10c05ae18bc1a49c1f2d95db2c82bd58f387e75635d33002",
+         "d75f7f387dd6f784ce184962ead716d6b8d9d3a1a96d58515b21f985410891d0",
          "aperiodic-llt: pass\n"),
         (MIXED, "json",
-         "0f8e626f0273515853a7e7664bf0d7f935f0fda351eefa1fd3d2ddb6119886e8",
+         "fc2808bdae95f4cc742b64d3a94ac27ba987682a04d395ccca4bdd0d864a6ae5",
          "aperiodic-llt: pass\n"),
         (UNIT, "csv",
-         "6b7c7c44fac5273847262bb8b3287a23086356d1a6ed3c41bcc9f3906f299f9f",
+         "8ff61a8d4a1d4e42d9ac1f275abc240c7377963a284effa85e794d5c4addc35d",
          "unit-step-llt: pass\n"),
         (UNIT, "json",
-         "4b3e1ee4244855e90048218d84cef29c8f459f5d5e6a6830fa7d7581e4ef494f",
+         "2c9d678dc1a08823f720bc64a897596221ee593bfc4dcd31f26d852962250d9d",
          "unit-step-llt: pass\n"),
     ], ids=["mixed-csv", "mixed-json", "unit-csv", "unit-json"])
     def test_report_digest(self, capsys, argv, fmt, digest, stderr):

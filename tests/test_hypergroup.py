@@ -21,8 +21,8 @@ from gegwalk.hypergroup import (
     drift_constant,
     kernel_row,
     n_step,
-    n_step_sequence,
     return_probabilities,
+    transition_probabilities,
 )
 
 from _oracles import (
@@ -499,16 +499,18 @@ class TestNStep:
     def test_sequence_rejects_negative_start(self, x):
         k = GegenbauerKernel(QUARTER, MIX)
         with pytest.raises(ValueError, match="must be >= 0"):
-            n_step_sequence(k, x, [1, 4])
+            transition_probabilities(k, x, 0, [1, 4])
         with pytest.raises(ValueError, match="must be >= 0"):
             n_step(k, x, 4)
 
     def test_sequence_matches_single_calls(self):
+        # a value does not depend on the other horizons asked for with it
         k = GegenbauerKernel(QUARTER, MIX)
-        laws = n_step_sequence(k, 0, [1, 4, 16, 64])
-        assert sorted(laws) == [1, 4, 16, 64]
-        for n, law in laws.items():
-            assert tv_distance(law, n_step(k, 0, n)) == 0.0
+        horizons = [64, 1, 16, 4]
+        for x, y in [(0, 0), (1, 2)]:
+            values, _ = transition_probabilities(k, x, y, horizons)
+            for n, v in zip(horizons, values):
+                assert v.tobytes() == transition_probabilities(k, x, y, [n])[0][0].tobytes()
 
 
 class TestLiveWindowBytes:
@@ -525,7 +527,7 @@ class TestLiveWindowBytes:
     )
     def test_matches_full_length_loop(self, alpha, mu, x, horizons):
         k = GegenbauerKernel(HypergroupIndex(alpha), mu)
-        laws = n_step_sequence(k, x, horizons)
+        laws = {n: n_step(k, x, n) for n in horizons}
         oracle = _full_length_laws(k, x, horizons)
         assert sorted(laws) == sorted(oracle)
         for n in horizons:
@@ -549,7 +551,7 @@ class TestSubnormalFlush:
         mu = SparseMeasure({1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
         k = GegenbauerKernel(HypergroupIndex(0.5), mu)
         horizons = [300, 600]
-        laws = n_step_sequence(k, x, horizons)
+        laws = {n: n_step(k, x, n) for n in horizons}
         raw = _full_length_laws(k, x, horizons, flush=False)
         for n in horizons:
             r = raw[n]
@@ -578,13 +580,19 @@ class TestMassDrift:
     def test_drift_raises_consistency_error(self, leaky_operator):
         k = GegenbauerKernel(QUARTER, MIX)
         with pytest.raises(ConsistencyError, match=r"n=1 has total mass 1\+1\.000e-09") as exc:
-            n_step_sequence(k, 0, [1, 8])
+            n_step(k, 0, 1)
         assert "beyond 1e-10" in str(exc.value) and "flushed mass 0" in str(exc.value)
 
     def test_return_probabilities_checks_drift_at_n(self, leaky_operator):
         k = GegenbauerKernel(QUARTER, MIX)
         with pytest.raises(ConsistencyError, match=r"n=8 has total mass 1\+8\.000e-09"):
             return_probabilities(k, 0, 0, 8)
+
+    def test_transition_probabilities_checks_each_law_read(self, leaky_operator):
+        # horizon 2 reads the law after one step from each side
+        k = GegenbauerKernel(QUARTER, MIX)
+        with pytest.raises(ConsistencyError, match=r"n=1 has total mass 1\+1\.000e-09"):
+            transition_probabilities(k, 0, 3, [8, 2])
 
 
 BAND_CASES = [
@@ -594,6 +602,13 @@ BAND_CASES = [
     (-0.5, DELTA1),
 ]
 BAND_IDS = ["mixed", "three-atom", "lazy", "unit"]
+DETAILED_BALANCE_STEPS = [
+    DELTA1,
+    MIX,
+    SparseMeasure({1: 0.2, 2: 0.3, 3: 0.5}),
+    SparseMeasure({1: 0.5, 7: 0.5}),
+]
+DETAILED_BALANCE_IDS = ["unit", "mixed", "three-atom", "wide-odd"]
 
 
 class TestBand:
@@ -638,6 +653,29 @@ class TestBand:
             n_step(k, 0, 5)
         with pytest.raises(ConsistencyError):
             next(hypergroup._sweep(k, 0, 5))  # the band refuses before step 0 is yielded
+
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 0.5])
+    @pytest.mark.parametrize("mu", DETAILED_BALANCE_STEPS, ids=DETAILED_BALANCE_IDS)
+    def test_detailed_balance(self, alpha, mu):
+        # the walk is reversible with respect to the Haar weights,
+        # w_x p(x, x + d) = w_(x+d) p(x + d, x), which transition_probabilities
+        # rests on.  The band keeps it to round-off: on these cases the
+        # largest relative gap is 9.1e-15 (the wide odd step at alpha = -1/4),
+        # and the largest absolute one 2.7e-16 in units of the weight.  A
+        # structural zero can come out of the recurrence at up to 3.7e-17
+        # on one side, so only entries above 1e-12 are compared relatively.
+        idx = HypergroupIndex(alpha)
+        smax, size = mu.max_state, 400
+        band = hypergroup._band(GegenbauerKernel(idx, mu), size)
+        w = hypergroup._haar_weights(idx, size)
+        for d in range(1, smax + 1):
+            fwd = w[: size - d] * band[smax + d, : size - d]
+            back = w[d:] * band[smax - d, d:]
+            scale = np.maximum(w[: size - d], w[d:])
+            assert np.all(np.abs(fwd - back) <= 1e-15 * scale), d
+            big = np.minimum(fwd, back) > 1e-12 * scale
+            rel = np.abs(fwd - back)[big] / np.maximum(fwd, back)[big]
+            assert np.all(rel <= 1e-13), (d, rel.max())
 
     def test_state_cap_binds_only_from_smax_4(self):
         def cap(smax):
@@ -684,8 +722,7 @@ class TestReturnProbabilities:
         k = GegenbauerKernel(HypergroupIndex(alpha), mu)
         n = 300
         r, flushed = return_probabilities(k, x, y, n)
-        laws = n_step_sequence(k, x, range(n + 1))
-        assert r.tobytes() == np.array([laws[j][y] for j in range(n + 1)]).tobytes()
+        assert r.tobytes() == np.array([n_step(k, x, j)[y] for j in range(n + 1)]).tobytes()
         assert type(flushed) is float
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.25])
@@ -712,6 +749,107 @@ class TestReturnProbabilities:
         with pytest.raises(StateCapError) as exc:
             return_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, DEFAULT_STATE_CAP // 2)
         assert exc.value.required > DEFAULT_STATE_CAP
+
+
+POINT_STEPS = [DELTA1, MIX, SparseMeasure({1: 0.2, 2: 0.3, 3: 0.5})]
+POINT_IDS = ["unit", "mixed", "three-atom"]
+
+
+class TestTransitionProbabilities:
+    # p^(n)(x, y) = w_y sum_z p^(a)(x, z) p^(b)(y, z) / w_z from two half sweeps
+    @pytest.mark.parametrize("alpha", [-0.5, -0.4, -0.25, 0.0, 0.5])
+    @pytest.mark.parametrize("mu", POINT_STEPS, ids=POINT_IDS)
+    @pytest.mark.parametrize("x,y", [(0, 0), (0, 3), (1, 2), (2, 2)])
+    def test_matches_n_step(self, alpha, mu, x, y):
+        k = GegenbauerKernel(HypergroupIndex(alpha), mu)
+        horizons = [1, 2, 3, 64, 1001]
+        values, bound = transition_probabilities(k, x, y, horizons)
+        assert values.shape == (5,) and type(bound) is float and bound <= 1e-290
+        for n, v in zip(horizons, values):
+            want = n_step(k, x, n)[y]
+            if want == 0.0:
+                assert v == 0.0, (n, v)
+            else:
+                assert abs(v - want) <= 1e-13 * want, (n, v / want - 1.0)
+
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.5])
+    @pytest.mark.parametrize("x,y", [(0, 0), (0, 3), (1, 2), (5, 2)])
+    def test_unit_step_parity_zeros(self, alpha, x, y):
+        # the two half laws sit on disjoint parity classes
+        horizons = list(range(60)) + [999, 1000, 1001]
+        values, _ = transition_probabilities(
+            GegenbauerKernel(HypergroupIndex(alpha), DELTA1), x, y, horizons
+        )
+        n = np.array(horizons)
+        even = (n + x + y) % 2 == 0
+        assert np.all(values[~even] == 0.0)
+        assert np.all(values[even & (n >= abs(x - y))] > 0.0)
+        assert np.all(values[n < abs(x - y)] == 0.0)
+
+    def test_horizon_zero_and_no_horizons(self):
+        k = GegenbauerKernel(QUARTER, MIX)
+        assert transition_probabilities(k, 3, 3, [0])[0].tolist() == [1.0]
+        assert transition_probabilities(k, 3, 2, [0])[0].tolist() == [0.0]
+        values, bound = transition_probabilities(k, 0, 0, [])
+        assert values.size == 0 and bound == 0.0
+
+    @pytest.mark.parametrize("x,y", [(0, 0), (0, 5)])
+    def test_bound_is_the_accounted_flush(self, x, y):
+        # at alpha = 1/2 on {1, 2, 3} the far tails flush from about n = 300;
+        # the bound is F_x + max_z(w_y / w_z) F_y, with F the flushed mass
+        # of each half sweep, and it holds against the unflushed iteration
+        mu = SparseMeasure({1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
+        k = GegenbauerKernel(HypergroupIndex(0.5), mu)
+        n = 1201
+        values, bound = transition_probabilities(k, x, y, [n])
+        a, b = (n + 1) // 2, n // 2
+        f_x = return_probabilities(k, x, x, a)[1]
+        f_y = f_x if x == y else return_probabilities(k, y, y, b)[1]
+        w = hypergroup._haar_weights(k.idx, max(x + 3 * a, y + 3 * b) + 1)
+        assert f_x > 0.0 and f_y > 0.0
+        assert bound == f_x + float(w[y] / w.min()) * f_y
+        raw = _full_length_laws(k, x, [n], flush=False)[n][y]
+        assert abs(values[0] - raw) <= bound + 1e-13 * raw
+
+    @pytest.mark.parametrize("alpha", [-0.5, -0.4, -0.25, 0.0, 0.5, 1.7])
+    def test_haar_weights_match_gamma_form(self, alpha):
+        # the ratio recurrence against mpmath's
+        # (2z+2a+1) Gamma(z+2a+1) / (2^(2a+1) Gamma(z+1) Gamma(a+1)^2)
+        mpmath = pytest.importorskip("mpmath")
+        size = 20_000
+        w = hypergroup._haar_weights(HypergroupIndex(alpha), size)
+        mpmath.mp.dps = 30
+        a = mpmath.mpf(alpha)
+        denom = 2 ** (2 * a + 1) * mpmath.gamma(a + 1) ** 2
+        zs = sorted(set(range(50)) | set(range(50, size, 97)) | {size - 1})
+        for z in zs:
+            if z == 0:
+                want = mpmath.gamma(2 * a + 2) / denom
+            else:
+                want = (2 * z + 2 * a + 1) * mpmath.exp(
+                    mpmath.loggamma(z + 2 * a + 1) - mpmath.loggamma(z + 1)
+                ) / denom
+            assert abs(w[z] / float(want) - 1.0) <= 1e-12, (z, w[z] / float(want) - 1.0)
+
+    def test_state_cap_counts_the_half_reach(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the band was built")
+
+        monkeypatch.setattr(hypergroup, "_band", unreachable)
+        k = GegenbauerKernel(QUARTER, MIX)
+        # 2 * 500000 + 1 states from x = 0: refused before any iteration
+        with pytest.raises(StateCapError, match="state cap") as exc:
+            transition_probabilities(k, 0, 0, [64, DEFAULT_STATE_CAP])
+        assert exc.value.required == DEFAULT_STATE_CAP + 1
+        # the sweep from y counts its own start
+        with pytest.raises(StateCapError) as exc:
+            transition_probabilities(k, 0, DEFAULT_STATE_CAP - 10, [20])
+        assert exc.value.required == DEFAULT_STATE_CAP + 11
+
+    @pytest.mark.parametrize("x,y,n", [(-1, 0, 4), (0, -1, 4), (0, 0, -1)])
+    def test_rejects_negative_arguments(self, x, y, n):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            transition_probabilities(GegenbauerKernel(QUARTER, MIX), x, y, [2, n])
 
 
 class TestFourier:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gegwalk.gegenbauer import HypergroupIndex
-from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step_sequence
+from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step
 
 from _oracles import exact_return_probabilities, reflected_return_probability
 
@@ -24,7 +24,6 @@ def test_exact_returns_mixed_step_matches_n_step():
     n = 300
     r, dropped = exact_return_probabilities(-0.25, n, 0.5, 0.5)
     kernel = GegenbauerKernel(HypergroupIndex(-0.25), SparseMeasure({1: 0.5, 2: 0.5}))
-    laws = n_step_sequence(kernel, 0, range(n + 1))
-    expected = np.array([laws[k][0] for k in range(n + 1)])
+    expected = np.array([n_step(kernel, 0, k)[0] for k in range(n + 1)])
     assert dropped <= 1e-12
     assert float(np.max(np.abs(r - expected))) <= 1e-15

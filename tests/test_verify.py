@@ -10,7 +10,13 @@ from scipy.integrate import quad
 
 from gegwalk import specfun, verify
 from gegwalk.gegenbauer import HypergroupIndex, weight
-from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, drift_constant, n_step
+from gegwalk.hypergroup import (
+    GegenbauerKernel,
+    SparseMeasure,
+    drift_constant,
+    n_step,
+    transition_probabilities,
+)
 from gegwalk.specfun import (
     MittagLefflerDist,
     bessel_i,
@@ -104,6 +110,10 @@ class TestAperiodicAsymptote:
         assert rep.passed
         assert rep.notes["ratio_trend"] == "approaching-1"
         assert 0.95 <= rep.rows[-1].ratio <= 1.05
+        # the values and the bound on their error are transition_probabilities'
+        values, bound = transition_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, ns)
+        assert [r.value for r in rep.rows] == values.tolist()
+        assert rep.notes["value_error_bound"] == bound and 0.0 < bound <= 1e-290
         # only the largest n is gated
         assert [r.window is not None for r in rep.rows] == [False] * 6 + [True]
 
@@ -151,7 +161,9 @@ class TestUnitStepAsymptote:
         # odd n (n+x+y odd) must be exactly zero
         zero_rows = [r for r in rep.rows if r.label == "9999"]
         assert zero_rows[0].value == 0.0 and zero_rows[0].ratio == 0.0
-        assert rep.notes == {"even_rows": 4, "odd_rows": 1}
+        notes = dict(rep.notes)
+        assert 0.0 <= notes.pop("value_error_bound") <= 1e-290
+        assert notes == {"even_rows": 4, "odd_rows": 1}
 
     def test_reflected_walk_off_origin(self):
         # x=0, y=1: the live parity class is odd n
@@ -172,7 +184,8 @@ class TestUnitStepAsymptote:
         rep = check_llt(QUARTER, D1, 0, 0, [100, 200])
         assert rep.theorem == "unit-step-llt"
         assert list(rep.params) == ["alpha", "x", "y", "n_list", "ratio_window"]
-        assert rep.notes == {"even_rows": 2, "odd_rows": 0}
+        assert list(rep.notes) == ["even_rows", "odd_rows", "value_error_bound"]
+        assert rep.notes["even_rows"] == 2 and rep.notes["odd_rows"] == 0
 
 
 class TestSpaceScaled:
