@@ -815,21 +815,22 @@ class TestTransitionProbabilities:
     def test_haar_weights_match_gamma_form(self, alpha):
         # the ratio recurrence against mpmath's
         # (2z+2a+1) Gamma(z+2a+1) / (2^(2a+1) Gamma(z+1) Gamma(a+1)^2)
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
+
         size = 20_000
         w = hypergroup._haar_weights(HypergroupIndex(alpha), size)
-        mpmath.mp.dps = 30
-        a = mpmath.mpf(alpha)
-        denom = 2 ** (2 * a + 1) * mpmath.gamma(a + 1) ** 2
         zs = sorted(set(range(50)) | set(range(50, size, 97)) | {size - 1})
-        for z in zs:
-            if z == 0:
-                want = mpmath.gamma(2 * a + 2) / denom
-            else:
-                want = (2 * z + 2 * a + 1) * mpmath.exp(
-                    mpmath.loggamma(z + 2 * a + 1) - mpmath.loggamma(z + 1)
-                ) / denom
-            assert abs(w[z] / float(want) - 1.0) <= 1e-12, (z, w[z] / float(want) - 1.0)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            denom = 2 ** (2 * a + 1) * mpmath.gamma(a + 1) ** 2
+            for z in zs:
+                if z == 0:
+                    want = mpmath.gamma(2 * a + 2) / denom
+                else:
+                    want = (2 * z + 2 * a + 1) * mpmath.exp(
+                        mpmath.loggamma(z + 2 * a + 1) - mpmath.loggamma(z + 1)
+                    ) / denom
+                assert abs(w[z] / float(want) - 1.0) <= 1e-12, (z, w[z] / float(want) - 1.0)
 
     def test_state_cap_counts_the_half_reach(self, monkeypatch):
         def unreachable(*args):
