@@ -22,9 +22,6 @@ from gegwalk.hypergroup import (
 )
 from gegwalk.specfun import (
     MittagLefflerDist,
-    bessel_i,
-    bessel_j,
-    bessel_marginal_density,
     gamma_fn,
     ml_density,
     ml_function,

@@ -28,9 +28,6 @@ from .errors import GegwalkError
 from .gegenbauer import HypergroupIndex
 from .hypergroup import GegenbauerKernel, SparseMeasure, n_step
 from .specfun import (
-    bessel_i,
-    bessel_j,
-    bessel_marginal_density,
     gamma_fn,
     ml_density,
     ml_function,
@@ -178,16 +175,13 @@ _SPECFUN = {
     "ml-density": (ml_density, ("order", "x")),
     "ml-function": (ml_function, ("order", "x")),
     "ml-sample": (_ml_draws, ("order", "size", "seed")),
-    "bessel-i": (bessel_i, ("order", "x")),
-    "bessel-j": (bessel_j, ("order", "x")),
-    "bessel-marginal": (bessel_marginal_density, ("order", "x")),
     "gamma": (gamma_fn, ("x",)),
 }
 
 
 # specfun flag -> (type, help)
 _SPECFUN_FLAGS = {
-    "order": (float, "distribution or Bessel order"),
+    "order": (float, "distribution order"),
     "p": (int, "moment index"),
     "x": (float, "evaluation point"),
     "size": (int, "number of draws"),
@@ -355,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the special functions behind the limit laws",
         description="Scalar special-function evaluations: Mittag-Leffler "
                     "moments p!/Gamma(order p + 1), density, function "
-                    "values and samples; Bessel I/J; the Bessel-process "
-                    "marginal density; Gamma.",
+                    "values and samples; Gamma.",
     )
     ops = sp.add_subparsers(dest="op", required=True)
     for op, (_, flags) in _SPECFUN.items():

@@ -21,9 +21,12 @@ at most n * (x + n * smax + 1) * tau, below 3e-296 under the state cap.
 `transition_probabilities` reads p^(n)(x, y) at a few horizons from half
 sweeps.  The walk is reversible with respect to the Haar weights w of
 `gegenbauer.weight`, w_x p(x, y) = w_y p(y, x), so with a = ceil(n/2)
-and b = floor(n/2), p^(n)(x, y) = w_y sum_z p^(a)(x, z) p^(b)(y, z) / w_z:
-one sweep to ceil(n/2) from x, and one from y when y != x, instead of a
-sweep to n, whose cost grows like n^1.5.
+and b = floor(n/2), p^(n)(x, y) = w_y sum_z p^(a)(x, z) p^(b)(y, z) / w_z.
+For x = y that is one sweep to ceil(n/2) instead of a sweep to n, whose
+cost grows like n^1.5.  For x != y a second sweep runs from y, and the
+two make as many numpy calls per step as one sweep to n; at moderate
+horizons a step's cost is mostly those calls, so there that path is no
+faster than the full sweep.
 """
 
 from __future__ import annotations
@@ -380,7 +383,9 @@ def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     mass of at least tau.  The flushed total, at most
     n * (x + n * smax + 1) * tau, bounds the l1 error of the law.  A drift
     of the total mass from 1 beyond 1e-10 raises ConsistencyError.  For
-    single entries p^(n)(x, y), transition_probabilities sweeps half as far.
+    single entries p^(n)(x, y), transition_probabilities sweeps half as far
+    when x = y; for x != y its two half sweeps make as many numpy calls
+    per step as this one does.
     """
     if x < 0 or n < 0:
         raise ValueError("n_step: x and n must be >= 0")

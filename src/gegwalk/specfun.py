@@ -1,22 +1,21 @@
 """Special functions used throughout the package.
 
-Provides the Gamma function, Bessel functions J and I of real order > -1
-(evaluated by mpmath), the Mittag-Leffler function
+Provides the Gamma function, the Mittag-Leffler function
 
     E_a(x) = sum_{p>=0} (-x)^p / Gamma(a*p + 1),      0 < a <= 1,
 
 and the Mittag-Leffler distribution with moments p!/Gamma(a*p+1), which
 appears as the limit law of renormalized local times of recurrent walks.
-A reference sampler (via one-sided positive stable variates) and the
-marginal density of a Bessel process started at 0 round out the module.
+A reference sampler (via one-sided positive stable variates) rounds out
+the module.
 
 The Mittag-Leffler density series caches its x-free factors per (order,
 term, binary precision); a density value is the same float with the
 cache cold or warm.
 
-mpmath is imported on first use, inside the functions that sum in it
-(the Bessel functions and the Mittag-Leffler series), so importing this
-module, or a command that never calls them, does not pay for it.
+mpmath is imported on first use, inside the functions that sum the
+Mittag-Leffler series, so importing this module, or a command that never
+calls them, does not pay for it.
 
 All functions are pure; samplers take a caller-owned ``numpy.random.Generator``.
 """
@@ -33,13 +32,10 @@ import numpy as np
 
 __all__ = [
     "gamma_fn",
-    "bessel_j",
-    "bessel_i",
     "ml_function",
     "ml_density",
     "ml_moment",
     "ml_sample",
-    "bessel_marginal_density",
     "MittagLefflerDist",
 ]
 
@@ -71,31 +67,6 @@ def _or_inf(fn: Callable[[float], float], x: float) -> float:
         return fn(x)
     except OverflowError:
         return math.inf
-
-
-def bessel_j(order: float, x: float) -> float:
-    """Bessel function J_order(x) for order > -1 and finite x >= 0, from mpmath."""
-    if not order > -1.0:
-        raise ValueError("bessel_j: order must be > -1")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"bessel_j: x must be finite and >= 0, got {x!r}")
-    from mpmath import mp
-
-    return float(mp.besselj(order, x))
-
-
-def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function I_order(x) for order > -1 and finite x >= 0.
-
-    Evaluated by mpmath; a value past float range is inf.
-    """
-    if not order > -1.0:
-        raise ValueError("bessel_i: order must be > -1")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"bessel_i: x must be finite and >= 0, got {x!r}")
-    from mpmath import mp
-
-    return float(mp.besseli(order, x))
 
 
 def _certified_sum(
@@ -271,26 +242,6 @@ def ml_sample(order: float, rng: np.random.Generator, size: int | None = None):
     )
     m = (e / a) ** (1.0 - order)
     return float(m[0]) if size is None else m
-
-
-def bessel_marginal_density(index: float, x: float) -> float:
-    """Time-1 marginal density of a Bessel-type diffusion started at 0.
-
-    f(x) = x^(2*index+1) exp(-x^2/2) / (2^index Gamma(index+1)) on x >= 0,
-    evaluated in log space so that no factor overflows on its own.
-    At index = -1/2 this is the half-normal density sqrt(2/pi) e^{-x^2/2}.
-    """
-    if not index > -1.0:
-        raise ValueError("bessel_marginal_density: index must be > -1")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"bessel_marginal_density: x must be finite and >= 0, got {x!r}")
-    power = 2.0 * index + 1.0
-    if x == 0.0:
-        if power == 0.0:
-            return 1.0 / (2.0**index * gamma_fn(index + 1.0))
-        return 0.0 if power > 0.0 else math.inf
-    log_f = power * math.log(x) - 0.5 * x * x - index * math.log(2.0)
-    return _or_inf(math.exp, log_f - math.lgamma(index + 1.0))
 
 
 def _density_cutoff(order: float) -> float:

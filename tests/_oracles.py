@@ -19,24 +19,6 @@ def erfc_quad(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * val
 
 
-# Half-integer Bessel closed forms.
-
-def j_half(x: float) -> float:
-    return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-
-
-def j_minus_half(x: float) -> float:
-    return math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
-
-
-def i_half(x: float) -> float:
-    return math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-
-
-def i_minus_half(x: float) -> float:
-    return math.sqrt(2.0 / (math.pi * x)) * math.cosh(x)
-
-
 def reflected_walk_law(n: int) -> dict:
     """Law of the reflected unit-step chain at time n, exact dyadic.
 
@@ -108,6 +90,18 @@ def unit_step_lt_constant(alpha: float, y: int) -> float:
     front = 2 * y + 2 * a + 1
     prod = 1.0 if front == 0.0 else front * math.gamma(y + 2 * a + 1)
     return prod * math.gamma(-a) / (2 ** (a + 1) * math.gamma(y + 1) * math.gamma(a + 1))
+
+
+def unit_step_mean_visits(alpha: float, n: int) -> float:
+    """E N_n(0) for the unit-step walk started at 0, counting time 0.
+
+    The walk returns only at even times, with r_2m = p^(2m)(0, 0) =
+    prod_{j<m} (1/2 + j) / (alpha + 3/2 + j), the coefficients of
+    2F1(1/2, 1; alpha + 3/2; t).  Returns sum_{m <= n/2} r_2m.
+    """
+    j = np.arange(n // 2, dtype=float)
+    r = np.cumprod((0.5 + j) / (alpha + 1.5 + j))
+    return 1.0 + float(np.sum(r))
 
 
 def eval_poly_table(idx, nmax: int, xs) -> np.ndarray:

@@ -1,11 +1,21 @@
 """Checks of the reference computations in `_oracles` that other tests trust."""
 
 import numpy as np
+import pytest
 
 from gegwalk.gegenbauer import HypergroupIndex
-from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step
+from gegwalk.hypergroup import (
+    GegenbauerKernel,
+    SparseMeasure,
+    n_step,
+    return_probabilities,
+)
 
-from _oracles import exact_return_probabilities, reflected_return_probability
+from _oracles import (
+    exact_return_probabilities,
+    reflected_return_probability,
+    unit_step_mean_visits,
+)
 
 
 def test_exact_returns_unit_step_is_reflected_walk():
@@ -27,3 +37,13 @@ def test_exact_returns_mixed_step_matches_n_step():
     expected = np.array([n_step(kernel, 0, k)[0] for k in range(n + 1)])
     assert dropped <= 1e-12
     assert float(np.max(np.abs(r - expected))) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0])
+def test_unit_step_mean_visits_matches_kernel_sums(alpha):
+    # E N_k(0) = r_0 + ... + r_k at every horizon k <= n
+    n = 2000
+    kernel = GegenbauerKernel(HypergroupIndex(alpha), SparseMeasure({1: 1.0}))
+    r, _ = return_probabilities(kernel, 0, 0, n)
+    expected = np.array([unit_step_mean_visits(alpha, k) for k in range(n + 1)])
+    np.testing.assert_allclose(expected, np.cumsum(r), rtol=1e-12, atol=0.0)

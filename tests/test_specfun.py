@@ -1,4 +1,4 @@
-"""Tests for the gamma, Bessel, and Mittag-Leffler routines."""
+"""Tests for the gamma and Mittag-Leffler routines."""
 
 import hashlib
 import math
@@ -79,101 +79,6 @@ class TestGamma:
     @given(st.floats(min_value=0.05, max_value=80.0))
     def test_recurrence(self, x):
         assert sf.gamma_fn(x + 1.0) == pytest.approx(x * sf.gamma_fn(x), rel=1e-11)
-
-
-class TestBesselJ:
-    def test_at_zero(self):
-        assert sf.bessel_j(0.0, 0.0) == 1.0
-        assert sf.bessel_j(1.0, 0.0) == 0.0
-        assert sf.bessel_j(-0.25, 0.0) == math.inf
-
-    def test_half_order_closed_form(self):
-        assert sf.bessel_j(0.5, 1.0) == pytest.approx(orc.j_half(1.0), abs=1e-12)
-
-    def test_small_argument_leading_term(self):
-        lead = (5e-7) ** 0.25 / math.gamma(1.25)
-        # next series term is ~6e-15 of the value
-        assert sf.bessel_j(0.25, 1e-6) == pytest.approx(lead, abs=1e-13)
-
-    @pytest.mark.parametrize("x", np.linspace(0.1, 20.0, 41).tolist())
-    def test_half_integer_forms_on_range(self, x):
-        assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-10)
-        assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-10)
-
-    def test_large_argument_branch(self):
-        # crosses into the elevated-precision branch
-        for x in (15.0, 30.0, 50.0):
-            assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-12)
-
-    def test_largest_argument_in_range(self):
-        assert sf.bessel_j(0.5, 300.0) == pytest.approx(orc.j_half(300.0), abs=1e-12)
-
-    def test_half_integer_forms_far_out(self):
-        # beyond x = 342, the reach of a 500-term ascending series
-        for x in (400.0, 1000.0):
-            assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-12)
-            assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-12)
-
-    @pytest.mark.parametrize("x", np.linspace(0.0, 12.0, 49)[1:].tolist())
-    def test_half_integer_forms_to_1e14_through_12(self, x):
-        # float64 summation of the alternating series misses 1e-14 from x = 9.25
-        assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-14)
-        assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-14)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            sf.bessel_j(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            sf.bessel_j(0.0, -0.1)
-
-    @pytest.mark.parametrize("fn", [sf.bessel_j, sf.bessel_i])
-    @pytest.mark.parametrize("x", [math.nan, math.inf])
-    def test_non_finite_x_refused(self, fn, x):
-        with pytest.raises(ValueError, match="finite"):
-            fn(0.5, x)
-
-    @given(
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=0.01, max_value=40.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bounded_for_nonnegative_order(self, order, x):
-        assert abs(sf.bessel_j(order, x)) <= 1.0 + 1e-12
-
-
-class TestBesselI:
-    def test_at_zero(self):
-        assert sf.bessel_i(0.0, 0.0) == 1.0
-        assert sf.bessel_i(1.0, 0.0) == 0.0
-
-    def test_minus_half_closed_form(self):
-        assert sf.bessel_i(-0.5, 1.0) == pytest.approx(orc.i_minus_half(1.0), rel=1e-12)
-
-    def test_past_float_range_is_inf(self):
-        # I_0(800) is about 1e346; a float64 series sum raised OverflowError
-        assert sf.bessel_i(0.0, 800.0) == math.inf
-
-    @pytest.mark.parametrize("x", np.linspace(0.1, 20.0, 41).tolist())
-    def test_half_integer_forms_on_range(self, x):
-        # absolute 1e-10 is not representable once I_{-1/2} reaches ~1e7,
-        # so compare with a floor of one part in 1e10 of the value
-        for fn, ref in ((0.5, orc.i_half), (-0.5, orc.i_minus_half)):
-            r = ref(x)
-            assert sf.bessel_i(fn, x) == pytest.approx(r, abs=1e-10 * max(1.0, abs(r)))
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            sf.bessel_i(-1.5, 1.0)
-        with pytest.raises(ValueError):
-            sf.bessel_i(0.0, -1.0)
-
-    @given(
-        st.floats(min_value=-0.99, max_value=4.0),
-        st.floats(min_value=0.01, max_value=50.0),
-    )
-    @settings(max_examples=60)
-    def test_positive(self, order, x):
-        assert sf.bessel_i(order, x) > 0.0
 
 
 class TestMLFunction:
@@ -332,61 +237,6 @@ class TestMLSample:
     def test_positive(self, order, seed):
         rng = np.random.default_rng(seed)
         assert np.all(sf.ml_sample(order, rng, 8) > 0.0)
-
-
-class TestBesselMarginalDensity:
-    def test_half_normal_at_minus_half(self):
-        for x in (0.0, 0.3, 1.0, 2.5):
-            assert sf.bessel_marginal_density(-0.5, x) == pytest.approx(
-                math.sqrt(2.0 / math.pi) * math.exp(-x * x / 2.0), rel=1e-13
-            )
-
-    def test_normalized(self):
-        val, _ = quad(lambda x: sf.bessel_marginal_density(0.0, x), 0.0, 12.0, epsabs=1e-10)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("c", [0.5, 13.0 / 12.0])
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-    def test_diffusive_rescaling(self, c, x):
-        # density of sqrt(2C) B_1 at x vs its explicit closed form
-        alpha = -0.25
-        s = math.sqrt(2.0 * c)
-        lhs = sf.bessel_marginal_density(alpha, x / s) / s
-        rhs = (
-            x ** (2 * alpha + 1)
-            * math.exp(-x * x / (4.0 * c))
-            / (2 ** (2 * alpha + 1) * c ** (alpha + 1) * math.gamma(alpha + 1))
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_tiny_density_with_huge_power(self):
-        # x^401 alone overflows a float; the density is about 7.7e-141
-        ref = float(mp.mpf(40) ** 401 * mp.exp(-800) / (mp.mpf(2) ** 200 * mp.gamma(201)))
-        assert sf.bessel_marginal_density(200.0, 40.0) == pytest.approx(ref, rel=1e-12)
-
-    @pytest.mark.parametrize("index", np.linspace(-0.5, 3.0, 15).tolist())
-    def test_matches_direct_product(self, index):
-        for x in np.linspace(0.0, 20.0, 81)[1:]:
-            direct = (
-                x ** (2 * index + 1) * math.exp(-0.5 * x * x)
-                / (2.0**index * math.gamma(index + 1.0))
-            )
-            assert sf.bessel_marginal_density(index, x) == pytest.approx(direct, rel=1e-13)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            sf.bessel_marginal_density(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            sf.bessel_marginal_density(0.0, -1.0)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-    def test_non_finite_x_raises(self, x):
-        with pytest.raises(ValueError, match="finite"):
-            sf.bessel_marginal_density(0.0, x)
-
-    def test_nan_index_raises(self):
-        with pytest.raises(ValueError, match="index must be > -1"):
-            sf.bessel_marginal_density(math.nan, 1.0)
 
 
 class TestMittagLefflerDist:

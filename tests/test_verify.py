@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import iv
+from scipy.stats import chi
 
 from gegwalk import specfun, verify
 from gegwalk.gegenbauer import HypergroupIndex, weight
@@ -19,8 +21,6 @@ from gegwalk.hypergroup import (
 )
 from gegwalk.specfun import (
     MittagLefflerDist,
-    bessel_i,
-    bessel_marginal_density,
     gamma_fn,
     ml_moment,
     ml_sample,
@@ -200,16 +200,17 @@ class TestSpaceScaled:
         # the diagonal limit x/(2C) e^(-z) I_a(z) at z = x^2/(2C)
         z = x * x / (2.0 * C)
         diagonal = math.sqrt(n) * n_step(kernel, m, n)[m]
-        pred = x / (2.0 * C) * math.exp(-z) * bessel_i(QUARTER.alpha, z)
+        pred = x / (2.0 * C) * math.exp(-z) * iv(QUARTER.alpha, z)
         assert 0.9 <= diagonal / pred <= 1.1
 
     def test_structural_rows_are_tight(self):
         # the origin density is the marginal density of the scaled Bessel
-        # endpoint sqrt(2C) B_1, and integrates to 1 over x
+        # endpoint sqrt(2C) B_1 (B_1 of index a has the chi law with 2a+2
+        # degrees of freedom), and integrates to 1 over x
         for idx, x in ((CHEB, 0.5), (QUARTER, 1.0)):
             a, C = idx.alpha, drift_constant(idx, MIX)
             s = math.sqrt(2.0 * C)
-            marginal = bessel_marginal_density(a, x / s) / s
+            marginal = chi.pdf(x / s, 2.0 * a + 2.0) / s
             assert abs(marginal / space_scaled_from_origin(a, C, x) - 1.0) < 1e-9
             total, _ = quad(
                 lambda t: space_scaled_from_origin(a, C, t), 0.0, np.inf, epsabs=1e-10
