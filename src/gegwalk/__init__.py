@@ -22,6 +22,7 @@ from gegwalk.hypergroup import (
 )
 from gegwalk.specfun import (
     MittagLefflerDist,
+    bessel_j,
     gamma_fn,
     ml_density,
     ml_function,

@@ -28,6 +28,7 @@ from .errors import GegwalkError
 from .gegenbauer import HypergroupIndex
 from .hypergroup import GegenbauerKernel, SparseMeasure, n_step
 from .specfun import (
+    bessel_j,
     gamma_fn,
     ml_density,
     ml_function,
@@ -175,13 +176,14 @@ _SPECFUN = {
     "ml-density": (ml_density, ("order", "x")),
     "ml-function": (ml_function, ("order", "x")),
     "ml-sample": (_ml_draws, ("order", "size", "seed")),
+    "bessel-j": (bessel_j, ("order", "x")),
     "gamma": (gamma_fn, ("x",)),
 }
 
 
 # specfun flag -> (type, help)
 _SPECFUN_FLAGS = {
-    "order": (float, "distribution order"),
+    "order": (float, "distribution or Bessel order"),
     "p": (int, "moment index"),
     "x": (float, "evaluation point"),
     "size": (int, "number of draws"),
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the special functions behind the limit laws",
         description="Scalar special-function evaluations: Mittag-Leffler "
                     "moments p!/Gamma(order p + 1), density, function "
-                    "values and samples; Gamma.",
+                    "values and samples; Bessel J; Gamma.",
     )
     ops = sp.add_subparsers(dest="op", required=True)
     for op, (_, flags) in _SPECFUN.items():

@@ -1,6 +1,7 @@
 """Special functions used throughout the package.
 
-Provides the Gamma function, the Mittag-Leffler function
+Provides the Gamma function, the Bessel function J of real order > -1
+(evaluated by mpmath), the Mittag-Leffler function
 
     E_a(x) = sum_{p>=0} (-x)^p / Gamma(a*p + 1),      0 < a <= 1,
 
@@ -13,9 +14,9 @@ The Mittag-Leffler density series caches its x-free factors per (order,
 term, binary precision); a density value is the same float with the
 cache cold or warm.
 
-mpmath is imported on first use, inside the functions that sum the
-Mittag-Leffler series, so importing this module, or a command that never
-calls them, does not pay for it.
+mpmath is imported on first use, inside the functions that sum in it
+(the Bessel function and the Mittag-Leffler series), so importing this
+module, or a command that never calls them, does not pay for it.
 
 All functions are pure; samplers take a caller-owned ``numpy.random.Generator``.
 """
@@ -32,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "gamma_fn",
+    "bessel_j",
     "ml_function",
     "ml_density",
     "ml_moment",
@@ -67,6 +69,17 @@ def _or_inf(fn: Callable[[float], float], x: float) -> float:
         return fn(x)
     except OverflowError:
         return math.inf
+
+
+def bessel_j(order: float, x: float) -> float:
+    """Bessel function J_order(x) for order > -1 and finite x >= 0, from mpmath."""
+    if not order > -1.0:
+        raise ValueError("bessel_j: order must be > -1")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"bessel_j: x must be finite and >= 0, got {x!r}")
+    from mpmath import mp
+
+    return float(mp.besselj(order, x))
 
 
 def _certified_sum(

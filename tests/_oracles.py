@@ -19,6 +19,16 @@ def erfc_quad(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * val
 
 
+# Half-integer Bessel J closed forms.
+
+def j_half(x: float) -> float:
+    return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
+
+
+def j_minus_half(x: float) -> float:
+    return math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
+
+
 def reflected_walk_law(n: int) -> dict:
     """Law of the reflected unit-step chain at time n, exact dyadic.
 

@@ -15,6 +15,8 @@ from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
 from gegwalk.walk_sim import WalkConfig, local_time_counts
 
+from _oracles import j_half
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -438,6 +440,11 @@ class TestSpecfun:
         rc, out, err = run(capsys, "specfun", *argv)
         assert rc == 2 and out == "" and err.startswith("gegwalk: ")
 
+    def test_bessel_j_at_400(self, capsys):
+        rc, out, _ = run(capsys, "specfun", "bessel-j", "--order", "0.5",
+                         "--x", "400", "--full-precision")
+        assert rc == 0 and float(out) == pytest.approx(j_half(400.0), abs=1e-12)
+
     def test_ml_moment_past_factorial_float_range(self, capsys):
         rc, out, _ = run(capsys, "specfun", "ml-moment", "--order", "1",
                          "--p", "171")
@@ -457,10 +464,13 @@ class TestSpecfun:
         assert first == second
         assert len(first.splitlines()) == 4
 
-    def test_gamma_at_half(self, capsys):
+    def test_bessel_and_gamma(self, capsys):
         rc, out, _ = run(capsys, "specfun", "gamma", "--x", "0.5")
         assert rc == 0
         assert float(out) == pytest.approx(3.141592653589793**0.5, rel=1e-9)
+        rc, out, _ = run(capsys, "specfun", "bessel-j", "--order", "0.0",
+                         "--x", "0.0")
+        assert float(out) == 1.0
 
 
 class TestRefusedFlags:

@@ -1,4 +1,4 @@
-"""Tests for the gamma and Mittag-Leffler routines."""
+"""Tests for the gamma, Bessel J, and Mittag-Leffler routines."""
 
 import hashlib
 import math
@@ -79,6 +79,66 @@ class TestGamma:
     @given(st.floats(min_value=0.05, max_value=80.0))
     def test_recurrence(self, x):
         assert sf.gamma_fn(x + 1.0) == pytest.approx(x * sf.gamma_fn(x), rel=1e-11)
+
+
+class TestBesselJ:
+    def test_at_zero(self):
+        assert sf.bessel_j(0.0, 0.0) == 1.0
+        assert sf.bessel_j(1.0, 0.0) == 0.0
+        assert sf.bessel_j(-0.25, 0.0) == math.inf
+
+    def test_half_order_closed_form(self):
+        assert sf.bessel_j(0.5, 1.0) == pytest.approx(orc.j_half(1.0), abs=1e-12)
+
+    def test_small_argument_leading_term(self):
+        lead = (5e-7) ** 0.25 / math.gamma(1.25)
+        # next series term is ~6e-15 of the value
+        assert sf.bessel_j(0.25, 1e-6) == pytest.approx(lead, abs=1e-13)
+
+    @pytest.mark.parametrize("x", np.linspace(0.1, 20.0, 41).tolist())
+    def test_half_integer_forms_on_range(self, x):
+        assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-10)
+        assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-10)
+
+    def test_large_argument_branch(self):
+        # crosses into the elevated-precision branch
+        for x in (15.0, 30.0, 50.0):
+            assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-12)
+
+    def test_largest_argument_in_range(self):
+        assert sf.bessel_j(0.5, 300.0) == pytest.approx(orc.j_half(300.0), abs=1e-12)
+
+    def test_half_integer_forms_far_out(self):
+        # beyond x = 342, the reach of a 500-term ascending series
+        for x in (400.0, 1000.0):
+            assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-12)
+            assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-12)
+
+    @pytest.mark.parametrize("x", np.linspace(0.0, 12.0, 49)[1:].tolist())
+    def test_half_integer_forms_to_1e14_through_12(self, x):
+        # float64 summation of the alternating series misses 1e-14 from x = 9.25
+        assert sf.bessel_j(0.5, x) == pytest.approx(orc.j_half(x), abs=1e-14)
+        assert sf.bessel_j(-0.5, x) == pytest.approx(orc.j_minus_half(x), abs=1e-14)
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError):
+            sf.bessel_j(-1.0, 1.0)
+        with pytest.raises(ValueError):
+            sf.bessel_j(0.0, -0.1)
+
+    @pytest.mark.parametrize("fn", [sf.bessel_j])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_refused(self, fn, x):
+        with pytest.raises(ValueError, match="finite"):
+            fn(0.5, x)
+
+    @given(
+        st.floats(min_value=0.0, max_value=5.0),
+        st.floats(min_value=0.01, max_value=40.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_for_nonnegative_order(self, order, x):
+        assert abs(sf.bessel_j(order, x)) <= 1.0 + 1e-12
 
 
 class TestMLFunction:
