@@ -523,6 +523,8 @@ class TestLiveWindowBytes:
             (-0.5, DELTA1, 3, [1, 2, 7, 50, 301]),
             (1.3, SparseMeasure({0: 0.2, 1: 0.3, 3: 0.5}), 2, [1, 5, 40, 200]),
             (0.0, MIX, 4, [0, 3, 100]),
+            (-0.1, SparseMeasure({1: 0.5, 7: 0.5}), 3, [1, 2, 9, 60, 250]),
+            (0.0, SparseMeasure({2: 1.0}), 0, [1, 4, 33, 200]),
         ],
     )
     def test_matches_full_length_loop(self, alpha, mu, x, horizons):
@@ -538,6 +540,27 @@ class TestLiveWindowBytes:
             # window is shorter than the full vector and the trim runs
             v = oracle[horizons[-1]]
             assert v[-1] == 0.0 and laws[horizons[-1]].max_state < v.size - 1
+
+
+class TestRowSumOrder:
+    # each step of the sweep sums its products with
+    # np.add.reduce(axis=0, initial=0.0); its bits are the per-diagonal
+    # loop's only if numpy adds the rows one after another, from +0.0
+    @pytest.mark.parametrize("m", [1, 7, 4097])
+    def test_add_reduce_adds_rows_in_order(self, m):
+        rng = np.random.default_rng(0)
+        for rows in range(2, 16):
+            a = 10.0 ** rng.uniform(-300.0, 0.0, size=(rows, m))
+            want = np.zeros(m)
+            for row in a:
+                want += row
+            assert np.add.reduce(a, axis=0, initial=0.0).tobytes() == want.tobytes(), rows
+            # the sweep's layout: the first m columns of a wider buffer
+            wide = np.empty((rows, m + 5))
+            wide[:, :m] = a
+            out = np.empty(m)
+            np.add.reduce(wide[:, :m], axis=0, initial=0.0, out=out)
+            assert out.tobytes() == want.tobytes(), rows
 
 
 class TestSubnormalFlush:
@@ -746,7 +769,7 @@ class TestReturnProbabilities:
             return_probabilities(GegenbauerKernel(QUARTER, MIX), x, y, n)
 
     def test_state_cap(self):
-        with pytest.raises(StateCapError) as exc:
+        with pytest.raises(StateCapError, match="return_probabilities") as exc:
             return_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, DEFAULT_STATE_CAP // 2)
         assert exc.value.required > DEFAULT_STATE_CAP
 
