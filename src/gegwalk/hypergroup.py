@@ -29,10 +29,10 @@ and b = floor(n/2), p^(n)(x, y) = w_y sum_z p^(a)(x, z) p^(b)(y, z) / w_z.
 For x = y that is one sweep to ceil(n/2) instead of a sweep to n, whose
 cost grows like n^1.5.  For x != y a second sweep runs from y, and the
 two do about the work of one sweep to n.  From (x, y) = (0, 3) at the
-horizons 1, 2, 4, ..., 4096 they took 0.059 s against 0.065 s for
+horizons 1, 2, 4, ..., 4096 they took 0.06 s against 0.065-0.070 s for
 n_step to 4096 on mu = {1: 1/2, 2: 1/2} at alpha = -1/4, and 0.17 s
-against 0.23 s on {1: 1/2, 7: 1/2} at alpha = -0.1 (medians of 9, one
-process, 2 vCPUs, numpy 2.4.6).
+against 0.23-0.25 s on {1: 1/2, 7: 1/2} at alpha = -0.1 (medians of 9
+in each of two runs, one process, 2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -429,8 +429,8 @@ def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     n * (x + n * smax + 1) * tau, bounds the l1 error of the law.  A drift
     of the total mass from 1 beyond 1e-10 raises ConsistencyError.  For
     single entries p^(n)(x, y), transition_probabilities sweeps half as far
-    when x = y; for x != y its two half sweeps took 0.9x and 0.73x of
-    this one's time in the two cases of the module docstring.
+    when x = y; for x != y its two half sweeps took about 0.9x and 0.7x
+    of this one's time in the two cases of the module docstring.
     """
     if x < 0 or n < 0:
         raise ValueError("n_step: x and n must be >= 0")
