@@ -47,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gegwalk.errors import ConsistencyError, StateCapError
-from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, linearization, weight
+from gegwalk.gegenbauer import HypergroupIndex, _haar_weights, _poly_apply, linearization
 
 __all__ = [
     "SparseMeasure",
@@ -390,27 +390,6 @@ def _check_mass(law: np.ndarray, n: int, flushed: float) -> None:
             f"n_step: the law at n={n} has total mass 1{drift:+.3e}, "
             f"beyond {_MASS_DRIFT_TOL:g} (flushed mass {flushed:.3e})"
         )
-
-
-def _haar_weights(idx: HypergroupIndex, size: int) -> np.ndarray:
-    """The weights w_0..w_(size-1) of gegenbauer.weight as one array.
-
-    w_0 and w_1 are the scalar ones; the rest follow by the ratio
-    w_(z+1)/w_z = (2z+2a+3)(z+2a+1) / ((2z+2a+1)(z+1)), taken from z = 1
-    because at a = -1/2 the ratio at z = 0 is 0/0.  Up to 2*10^4 states
-    the running product stays within 5e-13 relative of the gamma form
-    (a = -1/2 .. 1.7), where the scalar weight's log-gamma difference is
-    off by up to 7e-11.
-    """
-    a = idx.alpha
-    w = np.empty(size)
-    w[0] = weight(idx, 0)
-    if size > 1:
-        w[1] = weight(idx, 1)
-        z = np.arange(1.0, size - 1)
-        ratio = (2 * z + 2 * a + 3) * (z + 2 * a + 1) / ((2 * z + 2 * a + 1) * (z + 1))
-        w[2:] = w[1] * np.cumprod(ratio)
-    return w
 
 
 def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:

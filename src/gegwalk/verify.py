@@ -192,7 +192,9 @@ def check_llt(
     trend inspection only.  The unit step mu = delta_1: the
     parity-refined form w_y 2^(a+1) Gamma(a+1) n^-(a+1) when n + x + y
     is even, windowed at the largest such n, and an exact zero when it
-    is odd.  Any other one-parity step raises ValueError.
+    is odd; a unit-step horizon list with no even n + x + y would gate
+    nothing and raises ValueError before any sweep, as any other
+    one-parity step does.
 
     The values come from `transition_probabilities`, half sweeps joined
     by the walk's reversibility, and the notes carry its bound on their
@@ -200,18 +202,22 @@ def check_llt(
     """
     ns = _validate_horizons(n_list)
     kernel = GegenbauerKernel(idx, mu)
+    even_ns = [n for n in ns if (n + x + y) % 2 == 0]
     if not kernel.is_unit_step:
         _require_aperiodic(kernel)
+    elif not even_ns:
+        raise ValueError(
+            f"unit step: every horizon has n + x + y odd, where p^(n)({x}, {y}) "
+            "is 0 by parity and no ratio is gated; give an n with n + x + y even"
+        )
     values, bound = transition_probabilities(kernel, x, y, ns)
     a = idx.alpha
     if kernel.is_unit_step:
-        even_ns = [n for n in ns if (n + x + y) % 2 == 0]
-        last_even = even_ns[-1] if even_ns else None
         rows = []
         for n, p in zip(ns, values.tolist()):
             if (n + x + y) % 2 == 0:
                 pred = weight(idx, y) * 2.0 ** (a + 1.0) * gamma_fn(a + 1.0) * n ** (-(a + 1.0))
-                rows.append(_make_row(n, p, pred, ratio_window if n == last_even else None))
+                rows.append(_make_row(n, p, pred, ratio_window if n == even_ns[-1] else None))
             else:
                 rows.append(_make_row(n, p, 0.0, (0.0, 0.0)))
         return VerifyReport(

@@ -264,7 +264,7 @@ class _RowTable:
         for i in range(old, full.shape[1]):
             full[:, i] = _row_cdf(self.alpha, self.mu_items, self.lo + i)
         self.full = full
-        first = [0] + [j for j in range(1, len(full)) if (full[j] != full[j - 1]).any()]
+        first = [j for j in range(len(full)) if j == 0 or (full[j] != full[j - 1]).any()]
         self.cols = full[first]
         self.mult = np.diff(first + [len(full)]).tolist()
 

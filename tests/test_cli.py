@@ -15,8 +15,6 @@ from gegwalk.gegenbauer import HypergroupIndex
 from gegwalk.hypergroup import SparseMeasure
 from gegwalk.walk_sim import WalkConfig, local_time_counts
 
-from _oracles import j_half
-
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -156,6 +154,12 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["seed"] == 1 and len(doc["terminal"]) == 4
 
+    def test_walk_that_stays_put(self, capsys):
+        # mu = delta_0: every replica ends where it started
+        rc, out, _ = run(capsys, "simulate", "--alpha", "0.3", "--mu", "0:1",
+                         "--x", "2", "--n", "5", "--replicas", "3", "--seed", "1")
+        assert rc == 0 and out == "replica,terminal\n0,2\n1,2\n2,2\n"
+
 
 class TestLocaltime:
     ARGS = ["localtime", "--alpha", "-0.5", "--mu", "1:1", "--y", "0,2",
@@ -271,6 +275,11 @@ class TestVerifyLlt:
         assert rc == 2 and "even" in err
         assert "both an odd and an even state" in err and "--mu 1:1" in err
 
+    def test_odd_horizons_only_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "verify-llt", "--alpha", "-0.5", "--mu", "1:1",
+                           "--x", "0", "--y", "0", "--n", "9,99")
+        assert rc == 2 and out == "" and "n + x + y even" in err
+
     def test_bad_n_list(self, capsys):
         rc, _, _ = run(capsys, "verify-llt", "--alpha", "-0.25",
                        "--mu", "1:0.5,2:0.5", "--x", "0", "--y", "0",
@@ -286,6 +295,9 @@ class TestVerifyLltBytes:
              "--x", "0", "--y", "0", "--n", "64,128,256,512,1024"]
     UNIT = ["verify-llt", "--alpha", "-0.5", "--mu", "1:1",
             "--x", "0", "--y", "1", "--n", "9,99,100,999,1000"]
+    # x != y: two half sweeps sharing one band
+    MIXED_OFF = ["verify-llt", "--alpha", "-0.25", "--mu", "1:0.5,2:0.5",
+                 "--x", "2", "--y", "1", "--n", "64,128,256,512,1024"]
 
     @pytest.mark.parametrize("argv,fmt,digest,stderr", [
         (MIXED, "csv",
@@ -300,7 +312,14 @@ class TestVerifyLltBytes:
         (UNIT, "json",
          "2c9d678dc1a08823f720bc64a897596221ee593bfc4dcd31f26d852962250d9d",
          "unit-step-llt: pass\n"),
-    ], ids=["mixed-csv", "mixed-json", "unit-csv", "unit-json"])
+        (MIXED_OFF, "csv",
+         "918e6551989b61c73e12f8b5be5dc427b68b21091254e9867555cb2e095b3472",
+         "aperiodic-llt: pass\n"),
+        (MIXED_OFF, "json",
+         "439b7713d43ceedab0b095dd27223fc622a1959090771f2726d326fb696d257f",
+         "aperiodic-llt: pass\n"),
+    ], ids=["mixed-csv", "mixed-json", "unit-csv", "unit-json", "mixed-off-csv",
+            "mixed-off-json"])
     def test_report_digest(self, capsys, argv, fmt, digest, stderr):
         rc, out, err = run(capsys, *argv, "--format", fmt)
         assert rc == 0 and err == stderr
@@ -440,11 +459,6 @@ class TestSpecfun:
         rc, out, err = run(capsys, "specfun", *argv)
         assert rc == 2 and out == "" and err.startswith("gegwalk: ")
 
-    def test_bessel_j_at_400(self, capsys):
-        rc, out, _ = run(capsys, "specfun", "bessel-j", "--order", "0.5",
-                         "--x", "400", "--full-precision")
-        assert rc == 0 and float(out) == pytest.approx(j_half(400.0), abs=1e-12)
-
     def test_ml_moment_past_factorial_float_range(self, capsys):
         rc, out, _ = run(capsys, "specfun", "ml-moment", "--order", "1",
                          "--p", "171")
@@ -464,13 +478,10 @@ class TestSpecfun:
         assert first == second
         assert len(first.splitlines()) == 4
 
-    def test_bessel_and_gamma(self, capsys):
+    def test_gamma(self, capsys):
         rc, out, _ = run(capsys, "specfun", "gamma", "--x", "0.5")
         assert rc == 0
         assert float(out) == pytest.approx(3.141592653589793**0.5, rel=1e-9)
-        rc, out, _ = run(capsys, "specfun", "bessel-j", "--order", "0.0",
-                         "--x", "0.0")
-        assert float(out) == 1.0
 
 
 class TestRefusedFlags:

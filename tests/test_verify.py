@@ -178,6 +178,15 @@ class TestUnitStepAsymptote:
         rep = check_llt(QUARTER, D1, 0, 0, [100, 1000, 10_000])
         assert rep.passed
 
+    def test_odd_horizons_only_refused_before_any_sweep(self, monkeypatch):
+        # n + x + y odd at every n: only parity zeros, nothing to gate
+        def sweep(*args):
+            pytest.fail("swept before refusing the horizons")
+
+        monkeypatch.setattr(verify, "transition_probabilities", sweep)
+        with pytest.raises(ValueError, match="n \\+ x \\+ y even"):
+            check_llt(CHEB, D1, 0, 0, [9, 99])
+
     def test_unit_step_takes_the_parity_refined_route(self):
         # the unit step is the one one-parity step check_llt accepts;
         # its report has no drift constant and no trend note

@@ -87,6 +87,19 @@ class TestSimulateReplica:
             assert terminal == lt.terminal[r]
             assert [counts[y] for y in c.target_states] == lt.counts[r].tolist()
 
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 600])
+    @pytest.mark.parametrize("mu", [{0: 1.0}, {0: 0.3, 1: 0.7}], ids=["stay", "lazy"])
+    def test_matches_vectorized_engine_with_a_zero_step(self, mu, horizon):
+        # mu = delta_0 leaves the table no cut-point column at all; 4100
+        # replicas run past the first 4096-replica block
+        c = cfg(idx=HypergroupIndex(0.3), mu=SparseMeasure(mu), start=2,
+                horizon=horizon, replicas=4100, targets=(0, 2, 3), seed=1)
+        ref = [simulate_replica(c, r) for r in range(c.replicas)]
+        for threads in (1, 2):
+            lt = local_time_counts(c, threads=threads)
+            assert lt.terminal.tolist() == [t for t, _ in ref]
+            assert lt.counts.tolist() == [[n[y] for y in c.target_states] for _, n in ref]
+
     def test_replica_index_range(self):
         with pytest.raises(ValueError):
             simulate_replica(cfg(replicas=10), 10)
