@@ -89,7 +89,7 @@ class TestWeight:
             assert weight(idx, n) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
     def test_chebyshev_weights_equal_exactly(self):
-        # w_n = w_1 at a = -1/2, which a log-gamma difference misses by up to 5e-11
+        # w_n = w_1 at a = -1/2, which a log-gamma difference misses by up to 7e-11
         idx = HypergroupIndex(-0.5)
         w1 = weight(idx, 1)
         assert all(weight(idx, n) == w1 for n in range(1, 20_001))
