@@ -31,6 +31,10 @@ __all__ = [
     "linearization",
 ]
 
+# the most states an array indexed by state may hold: a computation that
+# needs more refuses before allocating, with a StateCapError
+DEFAULT_STATE_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class HypergroupIndex:
@@ -72,32 +76,39 @@ def weight(idx: HypergroupIndex, n: int) -> float:
     w_n = (2n+2a+1) Gamma(n+2a+1) / (2^(2a+1) Gamma(n+1) Gamma(a+1)^2)
     for n >= 1.  At n = 0 the prefactor (2a+1)Gamma(2a+1) is rewritten as
     Gamma(2a+2), which also covers a = -1/2 (value 1/pi) by continuity.
-    The value is entry n of _haar_weights, bit for bit.
+    For 2 <= n < DEFAULT_STATE_CAP, every state a sweep can hold, the
+    value is entry n of _haar_weights bit for bit, so a prediction reads
+    the w_y the sweeps read.  Otherwise the gamma ratio is taken in log
+    space, in O(1) time and memory and without overflow.
     """
     if n < 0:
         raise ValueError("weight: n must be >= 0")
-    return float(_haar_weights(idx, n + 1)[n])
+    if 2 <= n < DEFAULT_STATE_CAP:
+        return float(_haar_weights(idx, n + 1)[n])
+    a = idx.alpha
+    denom = 2.0 ** (2 * a + 1) * math.gamma(a + 1.0) ** 2
+    if n == 0:
+        return math.gamma(2 * a + 2.0) / denom
+    log_ratio = math.lgamma(n + 2 * a + 1.0) - math.lgamma(n + 1.0)
+    return (2 * n + 2 * a + 1) * math.exp(log_ratio) / denom
 
 
 def _haar_weights(idx: HypergroupIndex, size: int) -> np.ndarray:
     """The weights w_0..w_(size-1) of `weight` as one array, size >= 1.
 
-    w_0 and w_1 come from the gamma form, w_1's gamma ratio in log space;
-    the rest follow by the ratio w_(z+1)/w_z = (2z+2a+3)(z+2a+1) /
-    ((2z+2a+1)(z+1)), taken from z = 1 because at a = -1/2 the ratio at
-    z = 0 is 0/0.  The running product is sequential, so entry n does
-    not depend on size, and at a = -1/2 every ratio is exactly 1.  Up to
-    2*10^4 states it stays within 5e-13 relative of the gamma form
-    (a = -1/2 .. 1.7), where a log-gamma difference is off by up to 7e-11.
+    w_0 and w_1 are the gamma-form ones; the rest follow by the ratio
+    w_(z+1)/w_z = (2z+2a+3)(z+2a+1) / ((2z+2a+1)(z+1)), taken from z = 1
+    because at a = -1/2 the ratio at z = 0 is 0/0.  The running product
+    is sequential, so entry n does not depend on size, and at a = -1/2
+    every ratio is exactly 1.  Up to 2*10^4 states it stays within
+    5e-13 relative of the exact gamma form (a = -1/2 .. 1.7), where a
+    log-gamma difference is off by up to 7e-11.
     """
     a = idx.alpha
-    denom = 2.0 ** (2 * a + 1) * math.gamma(a + 1.0) ** 2
     w = np.empty(size)
-    w[0] = math.gamma(2 * a + 2.0) / denom
+    w[0] = weight(idx, 0)
     if size > 1:
-        n = 1
-        log_ratio = math.lgamma(n + 2 * a + 1.0) - math.lgamma(n + 1.0)
-        w[1] = (2 * n + 2 * a + 1) * math.exp(log_ratio) / denom
+        w[1] = weight(idx, 1)
         z = np.arange(1.0, size - 1)
         ratio = (2 * z + 2 * a + 3) * (z + 2 * a + 1) / ((2 * z + 2 * a + 1) * (z + 1))
         w[2:] = w[1] * np.cumprod(ratio)

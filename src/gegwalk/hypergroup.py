@@ -47,7 +47,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gegwalk.errors import ConsistencyError, StateCapError
-from gegwalk.gegenbauer import HypergroupIndex, _haar_weights, _poly_apply, linearization
+from gegwalk.gegenbauer import (
+    DEFAULT_STATE_CAP,
+    HypergroupIndex,
+    _haar_weights,
+    _poly_apply,
+    linearization,
+)
 
 __all__ = [
     "SparseMeasure",
@@ -58,8 +64,6 @@ __all__ = [
     "return_probabilities",
     "drift_constant",
 ]
-
-DEFAULT_STATE_CAP = 1_000_000
 
 # n-step laws flush trailing masses below the smallest normal double, 2^-1022
 _FLUSH_FLOOR = np.finfo(float).tiny

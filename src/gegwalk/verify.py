@@ -213,10 +213,11 @@ def check_llt(
     values, bound = transition_probabilities(kernel, x, y, ns)
     a = idx.alpha
     if kernel.is_unit_step:
+        w_y = weight(idx, y)
         rows = []
         for n, p in zip(ns, values.tolist()):
             if (n + x + y) % 2 == 0:
-                pred = weight(idx, y) * 2.0 ** (a + 1.0) * gamma_fn(a + 1.0) * n ** (-(a + 1.0))
+                pred = w_y * 2.0 ** (a + 1.0) * gamma_fn(a + 1.0) * n ** (-(a + 1.0))
                 rows.append(_make_row(n, p, pred, ratio_window if n == even_ns[-1] else None))
             else:
                 rows.append(_make_row(n, p, 0.0, (0.0, 0.0)))

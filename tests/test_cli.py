@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -373,6 +374,19 @@ class TestVerifyLt:
                            "--replicas", "200", "--seed", "1")
         assert rc == 2 and out == "" and "odd" in err
         assert "both an odd and an even state" in err and "--mu 1:1" in err
+
+    def test_target_past_the_state_cap_in_little_memory(self, capsys):
+        # never visited, so the verdict is fail; its weight takes no array of y entries
+        tracemalloc.start()
+        try:
+            rc, out, _ = run(capsys, "verify-lt", "--alpha", "-0.5", "--mu", "1:1",
+                             "--y", "10000000", "--n", "100", "--replicas", "200",
+                             "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and json.loads(out)["params"]["y"] == 10**7
+        assert peak < 2**25
 
     def test_gate_flags_forwarded(self, capsys):
         rc, out, _ = run(capsys, "verify-lt", "--alpha", "-0.5", "--mu", "1:1",

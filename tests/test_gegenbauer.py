@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from gegwalk.gegenbauer import HypergroupIndex, _poly_apply, linearization, weight
+from gegwalk.gegenbauer import (
+    DEFAULT_STATE_CAP,
+    HypergroupIndex,
+    _haar_weights,
+    _poly_apply,
+    linearization,
+    weight,
+)
 from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, n_step
 
 import _oracles as orc
@@ -92,7 +100,22 @@ class TestWeight:
         # w_n = w_1 at a = -1/2, which a log-gamma difference misses by up to 7e-11
         idx = HypergroupIndex(-0.5)
         w1 = weight(idx, 1)
-        assert all(weight(idx, n) == w1 for n in range(1, 20_001))
+        assert (_haar_weights(idx, 20_001)[1:] == w1).all()
+        assert all(weight(idx, n) == w1 for n in (2, 37, 20_000))
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5])
+    def test_past_the_state_cap_in_constant_memory(self, alpha):
+        # the gamma form takes over where no sweep reaches, within its 2e-9 of the recurrence
+        idx = HypergroupIndex(alpha)
+        cap = DEFAULT_STATE_CAP
+        assert weight(idx, cap) == pytest.approx(_haar_weights(idx, cap + 1)[cap], rel=1e-8)
+        tracemalloc.start()
+        try:
+            w = weight(idx, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16 and math.isfinite(w) and w > 0.0
 
     def test_alpha_zero_base(self):
         assert weight(HypergroupIndex(0.0), 0) == pytest.approx(0.5, rel=1e-14)
