@@ -4,13 +4,13 @@
 No simulation: the mean visit count is E N_n = sum_k r_k with
 r_k = p^(k)(0,0), and the second moment follows from the renewal-type
 identity E N_n^2 = E N_n + 2 sum_{0<=j<k<=n} r_j r_{k-j}.  The return
-probabilities come from the library's exact kernel iteration
-(gegwalk.hypergroup.return_probabilities), and the limits are
+probabilities come from the library's exact half sweeps
+(gegwalk.hypergroup.transition_probabilities), and the limits are
 K^p p!/Gamma(|a|p+1) n^(p|a|).  Emits CSV
 (n, m1, m1_ratio, m2, m2_ratio) on stdout; the ratio columns show the
 ~n^-|a| approach to 1 that bounds what any Monte Carlo check can see.
-The mass the iteration flushes below 2^-1022, a bound on the error of
-every r_k, goes to stderr.
+The bound it returns on the error of every r_k, from the mass its
+sweep flushes below 2^-1022, goes to stderr.
 
 Example:
     python3 scripts/moment_bias_curve.py --alpha -0.25 --mu 1:0.5,2:0.5 \
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from gegwalk.gegenbauer import HypergroupIndex
-from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, return_probabilities
+from gegwalk.hypergroup import GegenbauerKernel, SparseMeasure, transition_probabilities
 from gegwalk.specfun import ml_moment
 from gegwalk.verify import local_time_scale_constant
 
@@ -45,9 +45,8 @@ def main() -> int:
         ap.error("--alpha must be negative (recurrent, power-law regime)")
     K = local_time_scale_constant(idx, mu, 0)
     ns = [2**k for k in range(6, args.kmax + 1)]
-    r, flushed = return_probabilities(GegenbauerKernel(idx, mu), 0, 0, ns[-1])
-    print(f"flushed mass {flushed!r} "
-          "(l1 bound on the error of every r_k)", file=sys.stderr)
+    r, bound = transition_probabilities(GegenbauerKernel(idx, mu), 0, 0, range(ns[-1] + 1))
+    print(f"bound {bound!r} on the error of every r_k", file=sys.stderr)
 
     # prefix sums make the convolution-style double sum O(n) per horizon
     cum = np.concatenate(([0.0], np.cumsum(r)))

@@ -281,13 +281,12 @@ def local_time_scale_constant(idx: HypergroupIndex, mu: SparseMeasure, y: int) -
 
 def local_time_scale(alpha: float, horizon: int) -> float:
     """Divisor of N_n(y) in its limit law: n^|alpha| for alpha < 0, log n
-    for alpha = 0; 1.0 for alpha > 0 and for alpha = 0 with n < 2.
+    for alpha = 0; 1.0 for alpha > 0 and for any n < 2, where n^|alpha|
+    would be 0 at n = 0 and log n is no scale.
     """
-    if alpha < 0.0:
-        return float(horizon) ** (-alpha)
-    if alpha == 0.0 and horizon >= 2:
-        return math.log(horizon)
-    return 1.0
+    if horizon < 2 or alpha > 0.0:
+        return 1.0
+    return float(horizon) ** (-alpha) if alpha < 0.0 else math.log(horizon)
 
 
 def check_local_time_limit(
@@ -312,8 +311,9 @@ def check_local_time_limit(
     standard errors + `moment_floor` relative) and the KS distance to
     the limit CDF.  A `ks_threshold` that is not finite and positive, a
     `moment_floor` that is not finite and nonnegative, a negative
-    `n_moments`, or fewer than the 100 replicas the KS statistic needs
-    raises ValueError, before any simulation.
+    `n_moments`, fewer than the 100 replicas the KS statistic needs, or
+    a target y past x + horizon * smax, the farthest state the walk can
+    reach, raises ValueError, before any simulation.
 
     The theorems hold from any start x; finite-n error as a function of
     x is not quantified, so reports from different starts should be
@@ -338,6 +338,11 @@ def check_local_time_limit(
         _require_aperiodic(kernel)
 
     cfg = WalkConfig(idx, mu, x, horizon, replicas, (y,), seed)
+    if y > x + horizon * mu.max_state:
+        raise ValueError(
+            f"target y={y} lies past {x + horizon * mu.max_state}, the farthest state "
+            f"that {horizon} steps from x={x} can reach, so no replica visits it"
+        )
     _require_ks_samples(replicas)
     counts = local_time_counts(cfg, threads=threads).counts[:, 0]
 

@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from gegwalk import cli
 from gegwalk.cli import main
@@ -197,6 +201,14 @@ class TestLocaltime:
                          "--scale", "10")
         assert json.loads(out)["scale"] == 10.0 and rc == 0
 
+    def test_json_summary_at_horizon_zero(self, capsys):
+        # 0^|alpha| = 0 is no scale: the default is 1.0 below n = 2
+        rc, out, err = run(capsys, "localtime", "--alpha", "-0.5", "--mu", "1:1",
+                           "--y", "0", "--n", "0", "--replicas", "2", "--seed", "1",
+                           "--format", "json")
+        doc = json.loads(out)
+        assert rc == 0 and err == "" and doc["scale"] == 1.0
+
     @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
     def test_bad_scale_is_exit_2(self, capsys, scale):
         rc, out, err = run(capsys, *self.ARGS, "--format", "json",
@@ -376,16 +388,19 @@ class TestVerifyLt:
         assert "both an odd and an even state" in err and "--mu 1:1" in err
 
     def test_target_past_the_state_cap_in_little_memory(self, capsys):
-        # never visited, so the verdict is fail; its weight takes no array of y entries
+        # no replica can reach it, so it is refused before any simulation
+        # and before its weight is read
         tracemalloc.start()
         try:
-            rc, out, _ = run(capsys, "verify-lt", "--alpha", "-0.5", "--mu", "1:1",
-                             "--y", "10000000", "--n", "100", "--replicas", "200",
-                             "--seed", "1")
+            rc, out, err = run(capsys, "verify-lt", "--alpha", "-0.5", "--mu", "1:1",
+                               "--y", "10000000", "--n", "100", "--replicas", "200",
+                               "--seed", "1")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rc == 1 and json.loads(out)["params"]["y"] == 10**7
+        assert rc == 2 and out == ""
+        assert err == ("gegwalk: target y=10000000 lies past 100, the farthest state "
+                       "that 100 steps from x=0 can reach, so no replica visits it\n")
         assert peak < 2**25
 
     def test_gate_flags_forwarded(self, capsys):
@@ -563,3 +578,78 @@ class TestEntryPoint:
             main(["verify-llt", "--help"])
         out = capsys.readouterr().out
         assert "Gamma(a+1)" in out
+
+
+# -- every invocation ends in a report or a usage error ----------------
+
+_ALPHAS = st.one_of(st.sampled_from([-0.5, -0.25, 0.0, 0.5, 1.0]), st.floats(-0.5, 1.0))
+# a start x or a horizon n, with the edge values drawn often; -1 is refused
+_STATES = st.one_of(st.sampled_from([-1, 0, 1, 2]), st.integers(0, 200))
+_TARGETS = st.one_of(st.integers(-1, 400), st.integers(0, 10**12))
+
+
+@st.composite
+def _step_specs(draw):
+    # 1-3 atoms up to 8, delta_0 among them, with masses that sum to 1
+    # within the parser's round-off allowance
+    states = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True))
+    weights = [draw(st.integers(1, 9)) for _ in states]
+    return ",".join(f"{s}:{w / sum(weights)!r}" for s, w in zip(states, weights))
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(["kernel", "localtime", "verify-lt", "verify-llt"]))
+    argv = [command, f"--alpha={draw(_ALPHAS)!r}", f"--mu={draw(_step_specs())}",
+            f"--x={draw(_STATES)}"]
+    if command == "kernel":
+        argv.append(f"--n={draw(_STATES)}")
+        argv += draw(st.sampled_from([[], ["--full-precision"], ["--format=json"]]))
+        return argv
+    if command == "verify-llt":
+        horizons = draw(st.lists(_STATES, min_size=1, max_size=4, unique=True)
+                        .map(sorted) | st.lists(_STATES, min_size=1, max_size=4))
+        return argv + [f"--y={draw(_TARGETS)}", f"--n={','.join(map(str, horizons))}",
+                       draw(st.sampled_from(["--format=csv", "--format=json"]))]
+    argv += [f"--n={draw(_STATES)}", f"--replicas={draw(st.integers(1, 300))}",
+             f"--seed={draw(st.integers(0, 2**64 - 1))}", "--threads=1"]
+    if command == "verify-lt":
+        return argv + [f"--y={draw(_TARGETS)}", f"--moments={draw(st.integers(0, 3))}"]
+    targets = draw(st.lists(_TARGETS, min_size=1, max_size=3))
+    return argv + [f"--y={','.join(map(str, targets))}",
+                   draw(st.sampled_from(["--format=csv", "--format=json"]))]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestEveryInvocation:
+    @given(_invocations())
+    # the two invocations that ended in a verdict or a refusal they should not
+    @example(["verify-lt", "--alpha=-0.5", "--mu=1:1", "--y=10000000", "--n=100",
+              "--replicas=200", "--seed=1", "--threads=1"])
+    @example(["localtime", "--alpha=-0.5", "--mu=1:1", "--y=0", "--n=0", "--replicas=2",
+              "--seed=1", "--threads=1", "--format=json"])
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_ends_in_a_report_or_a_usage_error(self, argv):
+        rc, out, err = _run_in_process(argv)
+        assert rc in (0, 1, 2), rc
+        event(f"{argv[0]} exit {rc}")
+        if rc == 2:
+            assert out == "" and err.startswith("gegwalk: ") and err.count("\n") == 1, err
+            if "--format=json" in argv:  # a refusal does not hang on the output format
+                assert _run_in_process([a for a in argv if a != "--format=json"])[0] == 2, err
+        elif argv[0].startswith("verify"):
+            verdict = "pass" if rc == 0 else "fail"
+            assert err.endswith(f": {verdict}\n") and err.count("\n") == 1, err
+            if "--format=json" in argv or argv[0] == "verify-lt":
+                assert json.loads(out)["verdict"] == verdict
+            if argv[0] == "verify-lt":  # no verdict on a target past the reach
+                doc = json.loads(out)["params"]
+                assert doc["y"] <= doc["x"] + doc["horizon"] * max(map(int, doc["mu"])), doc
+        else:
+            assert rc == 0 and err == "" and out, err

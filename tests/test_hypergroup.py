@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from gegwalk.hypergroup import (
     drift_constant,
     kernel_row,
     n_step,
-    return_probabilities,
     transition_probabilities,
 )
 
@@ -607,9 +607,24 @@ class TestMassDrift:
         assert "beyond 1e-10" in str(exc.value) and "flushed mass 0" in str(exc.value)
 
     def test_return_probabilities_checks_drift_at_n(self, leaky_operator):
+        # every r_k to 8 reads every law of the sweep to 4: the first that
+        # drifts is the law after one step
         k = GegenbauerKernel(QUARTER, MIX)
-        with pytest.raises(ConsistencyError, match=r"n=8 has total mass 1\+8\.000e-09"):
-            return_probabilities(k, 0, 0, 8)
+        with pytest.raises(ConsistencyError, match=r"n=1 has total mass 1\+1\.000e-09"):
+            transition_probabilities(k, 0, 0, range(9))
+
+    @pytest.mark.parametrize("drift", [0.0, 4e-11, 7e-11, 1e-10, 2e-10, -2e-10, math.nan])
+    def test_screen_decides_as_the_exact_sum(self, drift):
+        # the pairwise sum screens; a law off by more than half the
+        # tolerance is summed exactly, so the decision is the exact sum's
+        law = np.full(1000, 1e-3)
+        law[0] += drift
+        exact = math.fsum(law.tolist()) - 1.0
+        if abs(exact) <= 1e-10:
+            hypergroup._check_mass(law, 5, 0.0)
+        else:
+            with pytest.raises(ConsistencyError, match=r"n=5 has total mass 1[+-]"):
+                hypergroup._check_mass(law, 5, 0.0)
 
     def test_transition_probabilities_checks_each_law_read(self, leaky_operator):
         # horizon 2 reads the law after one step from each side
@@ -725,7 +740,7 @@ class TestBand:
         with pytest.raises(StateCapError, match="a step up to 2000 has a band state cap of 4"):
             n_step(k, 0, 1)
         with pytest.raises(StateCapError):
-            return_probabilities(k, 0, 0, 1)
+            transition_probabilities(k, 0, 0, range(2))
 
     @pytest.mark.parametrize("mu", [MIX, SparseMeasure({2000: 1.0})], ids=["mixed", "wide"])
     def test_step_zero_builds_no_band(self, mu, monkeypatch):
@@ -735,43 +750,66 @@ class TestBand:
         monkeypatch.setattr(hypergroup, "_band", unreachable)
         k = GegenbauerKernel(QUARTER, mu)
         assert n_step(k, 7, 0) == SparseMeasure({7: 1.0})
-        assert return_probabilities(k, 7, 7, 0)[0].tolist() == [1.0]
+        assert transition_probabilities(k, 7, 7, range(1))[0].tolist() == [1.0]
 
 
 class TestReturnProbabilities:
+    # every p^(k)(x, y), k = 0..n, streamed by transition_probabilities
     @pytest.mark.parametrize("alpha,mu", [(-0.25, MIX), (-0.5, DELTA1)], ids=["mixed", "unit"])
     @pytest.mark.parametrize("x,y", [(0, 0), (3, 1)])
-    def test_bitwise_equal_to_laws(self, alpha, mu, x, y):
+    def test_within_1e14_of_laws(self, alpha, mu, x, y):
         k = GegenbauerKernel(HypergroupIndex(alpha), mu)
         n = 300
-        r, flushed = return_probabilities(k, x, y, n)
-        assert r.tobytes() == np.array([n_step(k, x, j)[y] for j in range(n + 1)]).tobytes()
-        assert type(flushed) is float
+        r, bound = transition_probabilities(k, x, y, range(n + 1))
+        want = np.array([n_step(k, x, j)[y] for j in range(n + 1)])
+        assert np.array_equal(r == 0.0, want == 0.0)
+        assert np.all(np.abs(r - want) <= 1e-14 * want)
+        assert type(bound) is float
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.25])
     @pytest.mark.parametrize("x,y", [(0, 0), (3, 1), (2, 5)])
     def test_unit_step_parity_zeros(self, alpha, x, y):
-        r, _ = return_probabilities(GegenbauerKernel(HypergroupIndex(alpha), DELTA1), x, y, 101)
-        k = np.arange(r.size)
-        even = (k + x + y) % 2 == 0
+        k = GegenbauerKernel(HypergroupIndex(alpha), DELTA1)
+        r, _ = transition_probabilities(k, x, y, range(102))
+        n = np.arange(r.size)
+        even = (n + x + y) % 2 == 0
         assert np.all(r[~even] == 0.0)
-        assert np.all(r[even & (k >= abs(x - y))] > 0.0)
+        assert np.all(r[even & (n >= abs(x - y))] > 0.0)
 
     def test_against_sparse_matrix_oracle(self):
         n = 2048
-        r, flushed = return_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, n)
+        r, bound = transition_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, range(n + 1))
         want, dropped = exact_return_probabilities(-0.25, n, 0.5, 0.5)
-        assert np.all(np.abs(r - want) <= flushed + dropped + 1e-14 * want)
+        assert np.all(np.abs(r - want) <= bound + dropped + 1e-14 * want)
 
     @pytest.mark.parametrize("x,y,n", [(-1, 0, 4), (0, -1, 4), (0, 0, -1)])
     def test_rejects_negative_arguments(self, x, y, n):
         with pytest.raises(ValueError, match="must be >= 0"):
-            return_probabilities(GegenbauerKernel(QUARTER, MIX), x, y, n)
+            transition_probabilities(GegenbauerKernel(QUARTER, MIX), x, y, range(n, n + 3))
 
-    def test_state_cap(self):
-        with pytest.raises(StateCapError, match="return_probabilities") as exc:
-            return_probabilities(GegenbauerKernel(QUARTER, MIX), 0, 0, DEFAULT_STATE_CAP // 2)
-        assert exc.value.required > DEFAULT_STATE_CAP
+    def test_state_cap(self, monkeypatch):
+        # the half reach from x = cap - 10, 10 + 10 * 2 + 1 states more,
+        # is refused before the band is built
+        def unreachable(*args):
+            raise AssertionError("the band was built")
+
+        monkeypatch.setattr(hypergroup, "_band", unreachable)
+        x = DEFAULT_STATE_CAP - 10
+        with pytest.raises(StateCapError, match="transition_probabilities") as exc:
+            transition_probabilities(GegenbauerKernel(QUARTER, MIX), x, x, range(21))
+        assert exc.value.required == DEFAULT_STATE_CAP + 11
+
+    def test_every_return_probability_in_little_memory(self):
+        # the stream holds the law and the one before it, and no law per
+        # horizon: 1.6 MiB here, against 24 MiB for a copy of each law read
+        k = GegenbauerKernel(QUARTER, MIX)
+        tracemalloc.start()
+        try:
+            r, _ = transition_probabilities(k, 0, 0, range(4097))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.shape == (4097,) and peak <= 4 * 2**20
 
 
 POINT_STEPS = [DELTA1, MIX, SparseMeasure({1: 0.2, 2: 0.3, 3: 0.5})]
@@ -826,8 +864,8 @@ class TestTransitionProbabilities:
         n = 1201
         values, bound = transition_probabilities(k, x, y, [n])
         a, b = (n + 1) // 2, n // 2
-        f_x = return_probabilities(k, x, x, a)[1]
-        f_y = f_x if x == y else return_probabilities(k, y, y, b)[1]
+        f_x = [f for *_, f in hypergroup._sweep(k, x, a)][-1]
+        f_y = f_x if x == y else [f for *_, f in hypergroup._sweep(k, y, b)][-1]
         w = hypergroup._haar_weights(k.idx, max(x + 3 * a, y + 3 * b) + 1)
         assert f_x > 0.0 and f_y > 0.0
         assert bound == f_x + float(w[y] / w.min()) * f_y

@@ -8,7 +8,7 @@ from gegwalk.hypergroup import (
     GegenbauerKernel,
     SparseMeasure,
     n_step,
-    return_probabilities,
+    transition_probabilities,
 )
 
 from _oracles import (
@@ -44,6 +44,6 @@ def test_unit_step_mean_visits_matches_kernel_sums(alpha):
     # E N_k(0) = r_0 + ... + r_k at every horizon k <= n
     n = 2000
     kernel = GegenbauerKernel(HypergroupIndex(alpha), SparseMeasure({1: 1.0}))
-    r, _ = return_probabilities(kernel, 0, 0, n)
+    r, _ = transition_probabilities(kernel, 0, 0, range(n + 1))
     expected = np.array([unit_step_mean_visits(alpha, k) for k in range(n + 1)])
     np.testing.assert_allclose(expected, np.cumsum(r), rtol=1e-12, atol=0.0)

@@ -265,6 +265,7 @@ class TestLocalTimeScale:
             (-0.5, 100, 10.0),  # n^|alpha|
             (0.0, 100, math.log(100)),
             (0.0, 1, 1.0),  # log 1 = 0 is no scale
+            (-0.5, 0, 1.0),  # 0^|alpha| = 0 is no scale
             (0.5, 100, 1.0),  # transient: no scaling limit
         ],
     )
@@ -344,6 +345,17 @@ class TestLocalTimeLimit:
     def test_rejects_periodic_nonunit_step(self):
         with pytest.raises(ValueError):
             check_local_time_limit(CHEB, SparseMeasure({2: 1.0}), 0, 0, 100, 200, 0)
+
+    @pytest.mark.parametrize("mu,x,y,reach", [(D1, 0, 10**7, 100), (D1, 0, 101, 100),
+                                              (MIX, 3, 204, 203)])
+    def test_target_past_the_reach_refused_before_simulating(self, monkeypatch, mu, x, y, reach):
+        # no replica can visit y, so every moment would read 0.0 and fail
+        def engine(*args, **kwargs):
+            pytest.fail("simulated a target no replica can visit")
+
+        monkeypatch.setattr(verify, "local_time_counts", engine)
+        with pytest.raises(ValueError, match=f"past {reach}, the farthest state"):
+            check_local_time_limit(CHEB, mu, x, y, 100, 200, 1)
 
     def test_aperiodic_mixture_runs(self):
         rep = check_local_time_limit(
