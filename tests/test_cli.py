@@ -641,7 +641,9 @@ class TestEveryInvocation:
         event(f"{argv[0]} exit {rc}")
         if rc == 2:
             assert out == "" and err.startswith("gegwalk: ") and err.count("\n") == 1, err
-            if "--format=json" in argv:  # a refusal does not hang on the output format
+            # no flag that only one format reads is drawn, so a refusal
+            # does not hang on the format
+            if "--format=json" in argv:
                 assert _run_in_process([a for a in argv if a != "--format=json"])[0] == 2, err
         elif argv[0].startswith("verify"):
             verdict = "pass" if rc == 0 else "fail"
