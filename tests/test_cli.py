@@ -629,12 +629,14 @@ def _run_in_process(argv):
 
 class TestEveryInvocation:
     @given(_invocations())
+    @example(["verify-lt", "--alpha=-0.25", "--mu=1:0.5,2:0.5", "--y=3", "--n=150",
+              "--replicas=150", "--seed=2", "--threads=1"])  # one that reaches a verdict
     # the two invocations that ended in a verdict or a refusal they should not
     @example(["verify-lt", "--alpha=-0.5", "--mu=1:1", "--y=10000000", "--n=100",
               "--replicas=200", "--seed=1", "--threads=1"])
     @example(["localtime", "--alpha=-0.5", "--mu=1:1", "--y=0", "--n=0", "--replicas=2",
               "--seed=1", "--threads=1", "--format=json"])
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None)
     def test_ends_in_a_report_or_a_usage_error(self, argv):
         rc, out, err = _run_in_process(argv)
         assert rc in (0, 1, 2), rc
