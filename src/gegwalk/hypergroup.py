@@ -5,20 +5,19 @@ point masses, delta_m * delta_n = sum_k c(m,n,k) delta_k, with the
 linearization coefficients as weights.  Extended bilinearly this gives a
 transition kernel p(x, .) = delta_x * mu for any step measure mu.
 
-Exact n-step laws come from one sweep, the private generator `_sweep`.
-It builds the one-step operator once, from the band of its diagonals
-p(x, x + d), d = -smax..smax, with each diagonal shifted to the states
-it lands on (the destination form), and then steps the live window of a
-dense law vector: the states up to the last mass of at least
-tau = 2^-1022, the smallest normal double.  Each step is one multiply of
-the shifted band by a skewed view of the law and one in-order sum of its
-rows, whatever the width of the step.  After each step the trailing
-masses below tau are flushed to zero, so a transient walk's far tail
-underflows instead of sitting in subnormals, which are slow to compute
-with.  The operator is a positive l1 contraction, so the flushed total
-bounds the l1 distance of every law from the unflushed iteration; a
-priori it is at most n * (x + n * smax + 1) * tau, below 3e-296 under
-the state cap.
+Exact n-step laws come from one sweep, the private generator `_sweep`,
+of the one-step operator that `_operator` builds once in destination
+form: each diagonal p(t - d, t), d = -smax..smax, written at the states
+t it lands on.  The sweep steps the live window of a dense law vector:
+the states up to the last mass of at least tau = 2^-1022, the smallest
+normal double.  Each step is one multiply of the destination form by a
+skewed view of the law and one in-order sum of its rows, whatever the
+width of the step.  After each step the trailing masses below tau are
+flushed to zero, so a transient walk's far tail underflows instead of
+sitting in subnormals, which are slow to compute with.  The operator is
+a positive l1 contraction, so the flushed total bounds the l1 distance
+of every law from the unflushed iteration; a priori it is at most
+n * (x + n * smax + 1) * tau, below 3e-296 under the state cap.
 
 `n_step` reads the whole law at the end of one sweep, and
 `transition_probabilities` every point value p^(n)(x, y).  The walk is
@@ -264,55 +263,40 @@ def kernel_row(kernel: GegenbauerKernel, x: int) -> SparseMeasure:
     return SparseMeasure(acc, total_tol=1e-10)
 
 
-def _band(kernel: GegenbauerKernel, size: int) -> np.ndarray:
-    """The one-step operator on states 0..size-1 as its 2*smax+1 diagonals,
-    band[smax + d, j] = p(j, j + d), which is 0 where j + d < 0.
+def _operator(kernel: GegenbauerKernel, size: int) -> tuple[np.ndarray, range]:
+    """The one-step operator on states 0..size-1 in destination form.
+
+    Returns (dst, offsets): offsets runs evenly from the lowest diagonal d
+    that is not zero throughout to the highest, by the gcd of their gaps
+    (2 for a step on one parity class), and dst[i, t] = p(t - d_i, t) for
+    d_i = offsets[i], 0 where t - d_i lies outside 0..size-1.  A zero
+    diagonal on the grid gets a row of zeros.
 
     Basis vectors 2*smax+1 apart have disjoint images, so one _poly_apply
-    of their sum (a comb) gives each of their columns bit for bit.  The
-    round-off floor is checked and applied once, here.  The build costs
-    O(smax^2) per state, so it refuses, before allocating, past a state
-    cap of _BAND_CAP // ((smax+1) * (2*smax+1)), which binds from smax = 4.
+    of their sum (a comb) gives each of their columns bit for bit; the
+    comb from r fills diagonal d at the states t = r + d mod 2*smax+1,
+    with exact zeros where t - d lies outside 0..size-1.  The round-off
+    floor is checked and applied once, here.  The build costs O(smax^2)
+    per state, so it refuses, before allocating, past a state cap of
+    _BAND_CAP // ((smax+1) * (2*smax+1)), which binds from smax = 4.
     """
     smax = kernel.step_measure.max_state
     width = 2 * smax + 1
     cap = _BAND_CAP // ((smax + 1) * width)
     if size > cap:
         raise StateCapError(f"a step up to {smax} has a band state cap of {cap}", required=size)
-    band = np.empty((width, size))
-    image = np.zeros(size + 2 * smax)  # image[smax + i] is entry i of a comb's image
+    dst = np.zeros((width, size + smax))  # row smax + d is diagonal d on every state it reaches
     for r in range(min(width, size)):  # a comb from r >= size would be empty
         comb = np.zeros(size)
         comb[r::width] = 1.0
-        image[smax:] = _poly_apply(kernel.idx.alpha, list(kernel.step_measure.items()), comb)
+        image = _poly_apply(kernel.idx.alpha, list(kernel.step_measure.items()), comb)
         for k in range(width):
-            band[k, r::width] = image[r + k : size + k : width]
-    return _clamp_roundoff(band)
-
-
-def _operator(kernel: GegenbauerKernel, size: int) -> tuple[np.ndarray, range]:
-    """The one-step operator on states 0..size-1 in destination form.
-
-    Returns (dst, offsets): offsets runs evenly from the lowest diagonal d
-    of _band that is not zero throughout to the highest, by the gcd of
-    their gaps (2 for a step on one parity class), and
-    dst[i, t] = p(t - d_i, t) for d_i = offsets[i], 0 where t - d_i lies
-    outside 0..size-1.  A zero diagonal on the grid gets a row of zeros.
-    The rows are _band's, each shifted in place, so no second band is held.
-    """
-    band = _band(kernel, size)
-    smax = kernel.step_measure.max_state
-    live = [k - smax for k in range(2 * smax + 1) if band[k].any()]
+            t0 = (r + k - smax) % width
+            dst[k, t0::width] = image[t0::width]
+    _clamp_roundoff(dst)
+    live = [k - smax for k in range(width) if dst[k].any()]
     offsets = range(live[0], live[-1] + 1, math.gcd(*(d - live[0] for d in live)) or 1)
-    for d in offsets:  # entry j, p(j, j + d), moves to column j + d
-        row = band[smax + d]
-        if d >= 0:
-            row[d:] = row[: size - d]
-            row[:d] = 0.0
-        else:
-            row[: size + d] = row[-d:]
-            row[size + d :] = 0.0
-    return band[smax + offsets[0] : smax + offsets[-1] + 1 : offsets.step], offsets
+    return dst[smax + offsets[0] : smax + offsets[-1] + 1 : offsets.step, :size], offsets
 
 
 def _reach(kernel: GegenbauerKernel, x: int, n: int, caller: str) -> int:
@@ -331,31 +315,25 @@ def _reach(kernel: GegenbauerKernel, x: int, n: int, caller: str) -> int:
 
 
 def _sweep(
-    kernel: GegenbauerKernel,
-    x: int,
-    n: int,
-    caller: str = "_sweep",
-    operator: tuple[np.ndarray, range] | None = None,
+    kernel: GegenbauerKernel, x: int, n: int, operator: tuple[np.ndarray, range] | None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """Yield (the law on states 0..hi, the law one step before it, flushed
     mass so far) after each of steps 0..n; at step 0 the law before is empty.
 
-    One sweep of the one-step operator from delta_x; a state cap refusal
-    names ``caller``.  For n >= 1 the operator is _operator's destination
-    band on at least the x + n*smax + 1 states the sweep can reach, with
-    its round-off floor checked when the band is built; it is built here
-    unless the caller shares one.  Each step is then one multiply of the
-    destination band by a skewed view of the law, whose row i is the law
-    shifted by d_i, and one sum of the rows in ascending d_i from +0.0:
-    the same products, added in the same order, as one shifted
-    multiply-add per diagonal (the tests' full-length loop), so the laws
-    are bit-identical to it.  Both yielded windows are views of the two
-    ping-pong buffers, which the next step overwrites.
+    One sweep from delta_x of ``operator``, _operator's destination form
+    on at least the x + n*smax + 1 states the sweep can reach, which the
+    caller builds (and checks against the state cap) once; the buffers
+    span its states, or the x + 1 states of step 0 when n = 0, which
+    needs no operator.  Each step is one multiply of the destination
+    form by a skewed view of the law, whose row i is the law shifted by
+    d_i, and one sum of the rows in ascending d_i from +0.0: the same
+    products, added in the same order, as one shifted multiply-add per
+    diagonal (the tests' full-length loop), so the laws are bit-identical
+    to it.  Both yielded windows are views of the two ping-pong buffers,
+    which the next step overwrites.
     """
     smax = kernel.step_measure.max_state
-    needed = _reach(kernel, x, n, caller)
-    if operator is None and n:  # step 0 needs no operator
-        operator = _operator(kernel, needed)
+    needed = operator[0].shape[1] if n else x + 1
     # v, w ping-pong and hold state i at index smax + i.  A step reads
     # states -smax..hi+2*smax of v; all but 0..hi must be zero, so that
     # their products add +0.0.
@@ -408,11 +386,11 @@ def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
 
     The support can reach x + n * smax, with smax = max(support of mu);
     past DEFAULT_STATE_CAP states the computation refuses loudly, before
-    allocating, rather than cut to fit.  For n >= 1 the band of the
-    one-step operator, (2*smax+1) * (x + n*smax + 1) doubles, is built
-    once per sweep (it pays off when n is large against smax; from
-    smax = 4 its state cap is lower, see _band), and a negative entry
-    beyond round-off raises ConsistencyError there, before any step.
+    allocating, rather than cut to fit.  For n >= 1 the one-step operator,
+    (2*smax+1) * (x + n*smax + 1) doubles, is built once per sweep (it
+    pays off when n is large against smax; from smax = 4 its state cap
+    is lower, see _operator), and a negative entry beyond round-off
+    raises ConsistencyError there, before any step.
     Each step runs on the live window [0, hi]; then the trailing masses
     below tau = 2^-1022 are set to zero and hi moves back to the last
     mass of at least tau.  The flushed total, at most
@@ -422,7 +400,8 @@ def n_step(kernel: GegenbauerKernel, x: int, n: int) -> SparseMeasure:
     """
     if x < 0 or n < 0:
         raise ValueError("n_step: x and n must be >= 0")
-    for law, _, flushed in _sweep(kernel, x, n, "n_step"):
+    needed = _reach(kernel, x, n, "n_step")
+    for law, _, flushed in _sweep(kernel, x, n, _operator(kernel, needed) if n else None):
         pass
     _check_mass(law, n, flushed)
     return SparseMeasure.from_array(law, total_tol=_MASS_DRIFT_TOL)
@@ -441,7 +420,7 @@ def transition_probabilities(
 
     one weighted dot product of two laws.  A sweep from x to
     ceil(max n / 2) and, for x != y, one from y to floor(max n / 2) run
-    in step on one shared band; at step j the law from x is joined with
+    in step on one shared operator; at step j the law from x is joined with
     the law from y at j (n = 2j) and at j - 1 (n = 2j - 1), so for x = y
     the horizons range(n + 1) give every r_k from one sweep.  No law is
     kept past the step after it, and each law that is read is checked
@@ -469,8 +448,8 @@ def transition_probabilities(
     operator = _operator(kernel, size) if a else None  # horizon 0 needs no operator
     w = _haar_weights(kernel.idx, size)
     values = np.empty(len(ns))
-    sweep = _sweep(kernel, x, a, "transition_probabilities", operator)
-    sweep_y = None if x == y else _sweep(kernel, y, b, "transition_probabilities", operator)
+    sweep = _sweep(kernel, x, a, operator)
+    sweep_y = None if x == y else _sweep(kernel, y, b, operator)
     if x == y:  # one sweep, whose laws are read on both sides
         reads_x, reads_y = reads_x | reads_y, set()
     for j, (lx, px, fx) in enumerate(sweep):

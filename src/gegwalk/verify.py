@@ -194,7 +194,9 @@ def check_llt(
     is even, windowed at the largest such n, and an exact zero when it
     is odd; a unit-step horizon list with no even n + x + y would gate
     nothing and raises ValueError before any sweep, as any other
-    one-parity step does.
+    one-parity step does.  So does a target past the reach of the gated
+    horizon n, |x - y| > n * max(mu): there p^(n)(x, y) is 0 and the
+    gate could only fail.
 
     The values come from `transition_probabilities`, half sweeps joined
     by the walk's reversibility, and the notes carry its bound on their
@@ -209,6 +211,13 @@ def check_llt(
         raise ValueError(
             f"unit step: every horizon has n + x + y odd, where p^(n)({x}, {y}) "
             "is 0 by parity and no ratio is gated; give an n with n + x + y even"
+        )
+    gated = even_ns[-1] if kernel.is_unit_step else ns[-1]
+    if abs(x - y) > gated * mu.max_state:
+        raise ValueError(
+            f"|x - y| = {abs(x - y)} is past the reach {gated * mu.max_state} of the "
+            f"gated horizon n = {gated} (n * max(mu)), where p^(n)({x}, {y}) is 0 and "
+            "the ratio cannot pass; give a larger n or a nearer y"
         )
     values, bound = transition_probabilities(kernel, x, y, ns)
     a = idx.alpha

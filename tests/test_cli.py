@@ -295,6 +295,16 @@ class TestVerifyLlt:
                            "--x", "0", "--y", "0", "--n", "9,99")
         assert rc == 2 and out == "" and "n + x + y even" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "1:0.5,2:0.5", "--alpha", "-0.25", "--x", "0", "--y", "300", "--n", "64,100"],
+        ["--mu", "1:1", "--alpha", "-0.5", "--x", "50", "--y", "0", "--n", "10,20"],
+    ], ids=["above", "below"])
+    def test_target_past_the_reach_is_exit_2(self, capsys, argv):
+        # p^(n)(x, y) is 0 at the gated horizon, so the gate could only fail
+        rc, out, err = run(capsys, "verify-llt", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("gegwalk: ") and err.count("\n") == 1 and "past the reach" in err
+
     def test_bad_n_list(self, capsys):
         rc, _, _ = run(capsys, "verify-llt", "--alpha", "-0.25",
                        "--mu", "1:0.5,2:0.5", "--x", "0", "--y", "0",
@@ -599,7 +609,8 @@ def _step_specs(draw):
 
 @st.composite
 def _invocations(draw):
-    command = draw(st.sampled_from(["kernel", "localtime", "verify-lt", "verify-llt"]))
+    command = draw(st.sampled_from(["kernel", "simulate", "localtime", "verify-lt",
+                                    "verify-llt"]))
     argv = [command, f"--alpha={draw(_ALPHAS)!r}", f"--mu={draw(_step_specs())}",
             f"--x={draw(_STATES)}"]
     if command == "kernel":
@@ -615,6 +626,8 @@ def _invocations(draw):
              f"--seed={draw(st.integers(0, 2**64 - 1))}", "--threads=1"]
     if command == "verify-lt":
         return argv + [f"--y={draw(_TARGETS)}", f"--moments={draw(st.integers(0, 3))}"]
+    if command == "simulate":
+        return argv + [draw(st.sampled_from(["--format=csv", "--format=json"]))]
     targets = draw(st.lists(_TARGETS, min_size=1, max_size=3))
     return argv + [f"--y={','.join(map(str, targets))}",
                    draw(st.sampled_from(["--format=csv", "--format=json"]))]
@@ -636,6 +649,13 @@ class TestEveryInvocation:
               "--replicas=200", "--seed=1", "--threads=1"])
     @example(["localtime", "--alpha=-0.5", "--mu=1:1", "--y=0", "--n=0", "--replicas=2",
               "--seed=1", "--threads=1", "--format=json"])
+    @example(["verify-llt", "--alpha=-0.5", "--mu=1:1", "--x=0", "--y=19", "--n=3,19,20",
+              "--format=csv"])  # a verify-llt verdict, at the gated horizon's reach
+    # two verify-llt targets past the reach of the gated horizon, which once got a verdict
+    @example(["verify-llt", "--alpha=-0.25", "--mu=1:0.5,2:0.5", "--x=0", "--y=300",
+              "--n=64,100", "--format=csv"])
+    @example(["verify-llt", "--alpha=-0.5", "--mu=1:1", "--x=50", "--y=0", "--n=10,20",
+              "--format=json"])
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_ends_in_a_report_or_a_usage_error(self, argv):
         rc, out, err = _run_in_process(argv)
@@ -655,5 +675,12 @@ class TestEveryInvocation:
             if argv[0] == "verify-lt":  # no verdict on a target past the reach
                 doc = json.loads(out)["params"]
                 assert doc["y"] <= doc["x"] + doc["horizon"] * max(map(int, doc["mu"])), doc
+            else:  # nor on one past the reach of the gated horizon
+                opts = dict(a[2:].split("=", 1) for a in argv[1:])
+                x, y = int(opts["x"]), int(opts["y"])
+                states = [int(atom.partition(":")[0]) for atom in opts["mu"].split(",")]
+                gated = [n for n in map(int, opts["n"].split(","))
+                         if states != [1] or (n + x + y) % 2 == 0][-1]
+                assert abs(x - y) <= gated * max(states), argv
         else:
             assert rc == 0 and err == "" and out, err

@@ -92,14 +92,14 @@ TINY = 2.0**-1022  # the smallest normal double, below which n_step flushes
 def _full_length_laws(
     kernel: GegenbauerKernel, x: int, horizons: list[int], flush: bool = True
 ) -> dict[int, np.ndarray]:
-    """The n-step loop without the live window: each step applies the band
-    of hypergroup._band to the whole vector of length x + step * smax + 1,
-    diagonal by diagonal in the order n_step uses, then, with ``flush``,
-    zeroes the trailing entries below TINY as n_step does.  Returns a
-    copy of the vector at each horizon.
+    """The n-step loop without the live window: each step applies the
+    operator of hypergroup._operator to the whole vector of length
+    x + step * smax + 1, diagonal by diagonal in the order n_step uses,
+    then, with ``flush``, zeroes the trailing entries below TINY as n_step
+    does.  Returns a copy of the vector at each horizon.
     """
     smax = kernel.step_measure.max_state
-    band = hypergroup._band(kernel, x + max(horizons) * smax + 1)
+    dst, offsets = hypergroup._operator(kernel, x + max(horizons) * smax + 1)
     v = np.zeros(x + 1)
     v[x] = 1.0
     laws = {}
@@ -107,9 +107,10 @@ def _full_length_laws(
     for target in sorted(horizons):
         while step < target:
             out = np.zeros(v.size + smax)
-            for k in range(2 * smax + 1):
-                lo = min(max(smax - k, 0), v.size)
-                out[lo + k - smax : v.size + k - smax] += band[k, lo : v.size] * v[lo:]
+            for row, d in zip(dst, offsets):  # out[t] += p(t - d, t) v[t - d]
+                lo, hi = max(d, 0), v.size + d
+                if lo < hi:
+                    out[lo:hi] += row[lo:hi] * v[lo - d : hi - d]
             v = out
             top = v.size - 1
             while flush and top > 0 and v[top] < TINY:
@@ -593,12 +594,13 @@ class TestMassDrift:
     @pytest.fixture
     def leaky_operator(self, monkeypatch):
         # an operator that creates mass: every step scales the law by 1 + 1e-9
-        make = hypergroup._band
+        make = hypergroup._operator
 
         def leaky(*args):
-            return make(*args) * (1.0 + 1e-9)
+            dst, offsets = make(*args)
+            return dst * (1.0 + 1e-9), offsets
 
-        monkeypatch.setattr(hypergroup, "_band", leaky)
+        monkeypatch.setattr(hypergroup, "_operator", leaky)
 
     def test_drift_raises_consistency_error(self, leaky_operator):
         k = GegenbauerKernel(QUARTER, MIX)
@@ -650,31 +652,39 @@ DETAILED_BALANCE_IDS = ["unit", "mixed", "three-atom", "wide-odd"]
 
 
 class TestBand:
-    # the one-step operator as its 2 * smax + 1 diagonals, built once per sweep
+    # the one-step operator in destination form, dst[i, t] = p(t - d_i, t)
+    # on the diagonals d_i of offsets, built once per sweep
     @pytest.mark.parametrize("alpha,mu", BAND_CASES, ids=BAND_IDS)
     def test_columns_are_poly_apply_bit_for_bit(self, alpha, mu):
         # up to the round-off floor: on the three-atom step, p(3, 0) comes
-        # out of the recurrence at -1.2e-17 and the band holds 0.0
+        # out of the recurrence at -1.2e-17 and the operator holds 0.0
         k = GegenbauerKernel(HypergroupIndex(alpha), mu)
-        smax, size = mu.max_state, 40
-        band = hypergroup._band(k, size)
-        assert band.shape == (2 * smax + 1, size)
+        size = 40
+        dst, offsets = hypergroup._operator(k, size)
+        assert dst.shape == (len(offsets), size)
+        t = np.arange(size)
+        for row, d in zip(dst, offsets):  # no entry from a state off the grid
+            assert not row[(t - d < 0) | (t - d >= size)].any(), d
         for j in range(size):
             e = np.zeros(size)
             e[j] = 1.0
             want = np.maximum(_poly_apply(alpha, list(mu.items()), e), 0.0)
-            col = np.zeros(size + smax)
-            for d in range(-smax, smax + 1):
-                if j + d >= 0:
-                    col[j + d] = band[smax + d, j]
-                else:
-                    assert band[smax + d, j] == 0.0
-            assert col.tobytes() == want.tobytes()
+            col = np.zeros(size)  # the column's entries on the grid
+            for row, d in zip(dst, offsets):
+                if 0 <= j + d < size:
+                    col[j + d] = row[j + d]
+            assert col.tobytes() == want[:size].tobytes()
 
     @pytest.mark.parametrize("alpha,mu", BAND_CASES, ids=BAND_IDS)
     def test_columns_sum_to_one(self, alpha, mu):
-        band = hypergroup._band(GegenbauerKernel(HypergroupIndex(alpha), mu), 200)
-        assert np.all(np.abs(band.sum(axis=0) - 1.0) <= 1e-14)
+        # column j, sum_d p(j, j + d), lies on the grid for j < size - smax
+        size, smax = 200, mu.max_state
+        dst, offsets = hypergroup._operator(GegenbauerKernel(HypergroupIndex(alpha), mu), size)
+        j = np.arange(size - smax)
+        sums = np.zeros(j.size)
+        for row, d in zip(dst, offsets):
+            sums[j + d >= 0] += row[j[j + d >= 0] + d]
+        assert np.all(np.abs(sums - 1.0) <= 1e-14)
 
     @pytest.mark.parametrize("alpha,mu", BAND_CASES, ids=BAND_IDS)
     def test_negative_entry_refused_before_any_step(self, alpha, mu, monkeypatch):
@@ -685,30 +695,38 @@ class TestBand:
             out[0] = -1e-6
             return out
 
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
         monkeypatch.setattr(hypergroup, "_poly_apply", negative)
+        monkeypatch.setattr(hypergroup, "_sweep", no_step)
         k = GegenbauerKernel(HypergroupIndex(alpha), mu)
         with pytest.raises(ConsistencyError, match="negative probability -1.000e-06"):
             n_step(k, 0, 5)
         with pytest.raises(ConsistencyError):
-            next(hypergroup._sweep(k, 0, 5))  # the band refuses before step 0 is yielded
+            hypergroup._operator(k, 5 * mu.max_state + 1)
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 0.5])
     @pytest.mark.parametrize("mu", DETAILED_BALANCE_STEPS, ids=DETAILED_BALANCE_IDS)
     def test_detailed_balance(self, alpha, mu):
         # the walk is reversible with respect to the Haar weights,
         # w_x p(x, x + d) = w_(x+d) p(x + d, x), which transition_probabilities
-        # rests on.  The band keeps it to round-off: on these cases the
+        # rests on.  The operator keeps it to round-off: on these cases the
         # largest relative gap is 9.1e-15 (the wide odd step at alpha = -1/4),
         # and the largest absolute one 2.7e-16 in units of the weight.  A
         # structural zero can come out of the recurrence at up to 3.7e-17
         # on one side, so only entries above 1e-12 are compared relatively.
         idx = HypergroupIndex(alpha)
         smax, size = mu.max_state, 400
-        band = hypergroup._band(GegenbauerKernel(idx, mu), size)
+        dst, offsets = hypergroup._operator(GegenbauerKernel(idx, mu), size)
+        rows = dict(zip(offsets, dst))
         w = hypergroup._haar_weights(idx, size)
         for d in range(1, smax + 1):
-            fwd = w[: size - d] * band[smax + d, : size - d]
-            back = w[d:] * band[smax - d, d:]
+            if d not in rows:  # a zero diagonal off the grid, and so its mirror
+                assert -d not in rows
+                continue
+            fwd = w[: size - d] * rows[d][d:]  # p(x, x + d), at state x + d
+            back = w[d:] * rows[-d][: size - d]  # p(x + d, x), at state x
             scale = np.maximum(w[: size - d], w[d:])
             assert np.all(np.abs(fwd - back) <= 1e-15 * scale), d
             big = np.minimum(fwd, back) > 1e-12 * scale
@@ -725,15 +743,15 @@ class TestBand:
         # the build costs O(smax^2) per state, however short the horizon
         k = GegenbauerKernel(QUARTER, SparseMeasure({1: 0.5, 40: 0.5}))
         cap = hypergroup._BAND_CAP // (41 * 81)
-        assert hypergroup._band(k, cap).shape == (81, cap)
+        assert hypergroup._operator(k, cap)[0].shape == (81, cap)
         with pytest.raises(StateCapError) as exc:
-            hypergroup._band(k, cap + 1)
+            hypergroup._operator(k, cap + 1)
         assert exc.value.required == cap + 1
 
     def test_wide_short_horizon_refused_before_building(self, monkeypatch):
-        # a 4001 x 2001 band built by 4001 length-2001 recurrences for one step
+        # a 4001 x 2001 operator built by 4001 length-2001 recurrences for one step
         def unreachable(*args):
-            raise AssertionError("the band was built")
+            raise AssertionError("the operator was built")
 
         monkeypatch.setattr(hypergroup, "_poly_apply", unreachable)
         k = GegenbauerKernel(QUARTER, SparseMeasure({2000: 1.0}))
@@ -745,9 +763,9 @@ class TestBand:
     @pytest.mark.parametrize("mu", [MIX, SparseMeasure({2000: 1.0})], ids=["mixed", "wide"])
     def test_step_zero_builds_no_band(self, mu, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("the band was built")
+            raise AssertionError("the operator was built")
 
-        monkeypatch.setattr(hypergroup, "_band", unreachable)
+        monkeypatch.setattr(hypergroup, "_operator", unreachable)
         k = GegenbauerKernel(QUARTER, mu)
         assert n_step(k, 7, 0) == SparseMeasure({7: 1.0})
         assert transition_probabilities(k, 7, 7, range(1))[0].tolist() == [1.0]
@@ -789,11 +807,11 @@ class TestReturnProbabilities:
 
     def test_state_cap(self, monkeypatch):
         # the half reach from x = cap - 10, 10 + 10 * 2 + 1 states more,
-        # is refused before the band is built
+        # is refused before the operator is built
         def unreachable(*args):
-            raise AssertionError("the band was built")
+            raise AssertionError("the operator was built")
 
-        monkeypatch.setattr(hypergroup, "_band", unreachable)
+        monkeypatch.setattr(hypergroup, "_operator", unreachable)
         x = DEFAULT_STATE_CAP - 10
         with pytest.raises(StateCapError, match="transition_probabilities") as exc:
             transition_probabilities(GegenbauerKernel(QUARTER, MIX), x, x, range(21))
@@ -864,9 +882,11 @@ class TestTransitionProbabilities:
         n = 1201
         values, bound = transition_probabilities(k, x, y, [n])
         a, b = (n + 1) // 2, n // 2
-        f_x = [f for *_, f in hypergroup._sweep(k, x, a)][-1]
-        f_y = f_x if x == y else [f for *_, f in hypergroup._sweep(k, y, b)][-1]
-        w = hypergroup._haar_weights(k.idx, max(x + 3 * a, y + 3 * b) + 1)
+        size = max(x + 3 * a, y + 3 * b) + 1
+        operator = hypergroup._operator(k, size)
+        f_x = [f for *_, f in hypergroup._sweep(k, x, a, operator)][-1]
+        f_y = f_x if x == y else [f for *_, f in hypergroup._sweep(k, y, b, operator)][-1]
+        w = hypergroup._haar_weights(k.idx, size)
         assert f_x > 0.0 and f_y > 0.0
         assert bound == f_x + float(w[y] / w.min()) * f_y
         raw = _full_length_laws(k, x, [n], flush=False)[n][y]
@@ -895,9 +915,9 @@ class TestTransitionProbabilities:
 
     def test_state_cap_counts_the_half_reach(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("the band was built")
+            raise AssertionError("the operator was built")
 
-        monkeypatch.setattr(hypergroup, "_band", unreachable)
+        monkeypatch.setattr(hypergroup, "_operator", unreachable)
         k = GegenbauerKernel(QUARTER, MIX)
         # 2 * 500000 + 1 states from x = 0: refused before any iteration
         with pytest.raises(StateCapError, match="state cap") as exc:

@@ -197,6 +197,30 @@ class TestUnitStepAsymptote:
         assert rep.notes["even_rows"] == 2 and rep.notes["odd_rows"] == 0
 
 
+@pytest.mark.parametrize(
+    "idx,mu,x,y,ns,reach",
+    [
+        (QUARTER, MIX, 0, 300, [64, 100], 200),
+        (CHEB, D1, 50, 0, [10, 20], 20),
+        # the unit step gates the last n with n + x + y even, here 19, not 22
+        (CHEB, D1, 0, 21, [19, 22], 19),
+    ],
+    ids=["above", "below", "unit-gated"],
+)
+def test_target_past_the_gated_reach_refused_before_any_sweep(monkeypatch, idx, mu, x, y, ns,
+                                                              reach):
+    # one step moves at most max(mu) either way, so p^(n)(x, y) is 0 at
+    # the gated horizon and the gate could only fail
+    assert check_llt(CHEB, D1, 0, 19, [19]).rows[-1].value > 0.0  # at the reach it runs
+
+    def sweep(*args):
+        pytest.fail("swept before refusing the target")
+
+    monkeypatch.setattr(verify, "transition_probabilities", sweep)
+    with pytest.raises(ValueError, match=f"past the reach {reach} of the gated horizon n = "):
+        check_llt(idx, mu, x, y, ns)
+
+
 class TestSpaceScaled:
     # sqrt(n) p^(n) at spatial scale x sqrt(n) against its limit densities
     def test_unit_spatial_scale(self):
